@@ -310,11 +310,11 @@ def cmd_decompose(data_path: Path, cfg: ExperimentConfig, out_dir: Path) -> int:
     model, report, beta = decompose_tensor(t, cfg)
     decomp.save_model(model, out_dir / "model.json", beta=beta, alpha=cfg.alpha, report=report)
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
+        json.dump(report.to_dict(), fh, indent=1, allow_nan=False)
         fh.write("\n")
     print(
         f"solver {cfg.solver} sweeps {report.sweeps} converged {report.converged} "
-        f"self_consistent {report.self_consistent}"
+        f"stop {report.stop_reason} self_consistent {report.self_consistent}"
     )
     return EXIT_OK
 
@@ -381,7 +381,7 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
         summary["confusion_mean"] = {"tn": report.tn, "fn": report.fn, "fp": report.fp, "tp": report.tp}
         summary["confusion_sd"] = {k: float(v) for k, v in zip(("tn", "fn", "fp", "tp"), sd)}
     if members and "self_consistent" in members[0]:
-        summary["self_consistent_members"] = int(sum(m["self_consistent"] for m in members))
+        summary["self_consistent_members"] = sum(m["self_consistent"] is True for m in members)
     with open(out_dir / "ensemble_summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")

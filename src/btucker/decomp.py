@@ -21,6 +21,7 @@ and beta*S*Phi^T x otherwise.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ BETA_CAP = 1e12            # reported noise precision for an exactly zero residu
 
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-8
+ANDERSON_WINDOW = 5        # residual differences in hooi's Anderson extrapolation
 
 
 @dataclass(frozen=True)
@@ -108,24 +110,38 @@ class PosteriorStats:
 class FitReport:
     """Convergence bookkeeping for a solver run.
 
-    residual_history[0] is the error of the initial model; one entry is
-    appended per sweep/iteration.  self_consistent / max_mode_deviation are
-    populated only on paths that run the posterior-mean comparison.
+    sweeps counts every sweep computed, including :func:`hooi`'s rejected
+    extrapolations.  residual_history[0] is the error of the initial model,
+    and one entry follows per accepted sweep, so the history never rises.
+    stop_reason names the criterion that ended the run: "residual" (the
+    relative residual change fell below tol), "factor_tol" (the largest
+    entrywise factor change fell below its bound as well) or "max_iter" (the
+    sweep budget ran out, converged is False).  extrapolations_accepted and
+    extrapolations_rejected count :func:`hooi`'s Anderson steps.
+    self_consistent / max_mode_deviation stay None ("not checked") except on
+    paths that run the posterior-mean comparison.
     """
 
     sweeps: int
     residual_history: np.ndarray
     converged: bool
-    self_consistent: bool = False
-    max_mode_deviation: float = float("nan")
+    stop_reason: str
+    extrapolations_accepted: int = 0
+    extrapolations_rejected: int = 0
+    self_consistent: bool | None = None
+    max_mode_deviation: float | None = None
 
     def to_dict(self) -> dict:
+        deviation = self.max_mode_deviation
         return {
             "sweeps": self.sweeps,
             "residual_history": [float(x) for x in self.residual_history],
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "extrapolations_accepted": self.extrapolations_accepted,
+            "extrapolations_rejected": self.extrapolations_rejected,
             "self_consistent": self.self_consistent,
-            "max_mode_deviation": float(self.max_mode_deviation),
+            "max_mode_deviation": None if deviation is None else float(deviation),
         }
 
 
@@ -150,32 +166,27 @@ def _validate_ranks(dims, ranks) -> tuple[int, int, int]:
     for m, (r, d) in enumerate(zip(ranks, dims), start=1):
         if not 1 <= r <= d:
             raise ValueError(f"rank {r} of mode {m} must satisfy 1 <= rank <= {d}")
+    for m, r in enumerate(ranks, start=1):
+        others = ranks[0] * ranks[1] * ranks[2] // r
+        if r > others:
+            # the mode-m unfolding of the core has at most `others` independent rows
+            raise ValueError(
+                f"rank {r} of mode {m} exceeds {others}, the product of the other two ranks"
+            )
     return ranks
-
-
-def _contracted_unfolding(t: Tensor3, u1, u2, u3, mode: int) -> np.ndarray:
-    """Mode-`mode` unfolding of the tensor contracted with the other two factors."""
-    x = t.values
-    if mode == 1:
-        y = np.einsum("ijk,bj,ck->ibc", x, u2, u3, optimize=True)
-    elif mode == 2:
-        y = np.einsum("ijk,ai,ck->jac", x, u1, u3, optimize=True)
-    else:
-        y = np.einsum("ijk,ai,bj->kab", x, u1, u2, optimize=True)
-    return y.reshape(y.shape[0], -1)
 
 
 class _HooiWorkspace:
     """Permutation-free GEMM kernels for the HOOI inner loop.
 
-    Holds one contiguous permuted copy of the tensor per mode so every
-    iteration reduces to two matrix products; results match
-    :func:`_contracted_unfolding` up to column order, which the left singular
-    vectors do not depend on.
+    Holds one contiguous permuted copy of an (N, M, K) array per mode, so the
+    array contracted with the factors of the other two modes and unfolded
+    along the third costs two matrix products.  Its columns come in another
+    order than those of :func:`~btucker.tensor.unfold`, which the left
+    singular vectors do not depend on.
     """
 
-    def __init__(self, t: Tensor3):
-        v = t.values
+    def __init__(self, v: np.ndarray):
         self.dims = v.shape
         self.x1 = np.ascontiguousarray(v)                      # (N, M, K)
         self.x2 = np.ascontiguousarray(v.transpose(1, 2, 0))   # (M, K, N)
@@ -196,22 +207,55 @@ class _HooiWorkspace:
         return (y @ u2.T).reshape(k, -1)
 
 
+def _sign_flips(rows: np.ndarray) -> np.ndarray:
+    """Global sign rule: -1 for each row whose largest-magnitude entry is negative, else 1."""
+    pivot = np.argmax(np.abs(rows), axis=1)
+    return np.where(rows[np.arange(rows.shape[0]), pivot] < 0, -1.0, 1.0)
+
+
 def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
     """Leading left singular vectors of b as rows, with the global sign rule.
 
-    Uses the Gram eigendecomposition when the kept spectrum is well away from
-    the squared-condition noise floor, falling back to the full SVD otherwise.
+    Eigendecomposes the smaller Gram matrix, b b^T when b is wide and b^T b
+    (mapped back through b) when it is tall, as long as the kept spectrum is
+    well away from the squared-condition noise floor; falls back to the full
+    SVD otherwise.
     """
-    gram = b.T @ b
-    vals, vecs = np.linalg.eigh(gram)
+    wide = b.shape[0] <= b.shape[1]
+    vals, vecs = np.linalg.eigh(b @ b.T if wide else b.T @ b)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     if vals[0] > 0 and vals[rank - 1] > 1e-10 * vals[0]:
-        u = (b @ vecs[:, :rank]) / np.sqrt(vals[:rank])
-        pivot = np.argmax(np.abs(u), axis=0)
-        u *= np.where(u[pivot, np.arange(rank)] < 0, -1.0, 1.0)
-        return u.T
+        if wide:
+            u = vecs[:, :rank].T
+        else:
+            u = (b @ vecs[:, :rank]).T / np.sqrt(vals[:rank])[:, None]
+        return u * _sign_flips(u)[:, None]
     return linalg.svd(b, rank=rank).U.T
+
+
+def _top_eigenvectors(p: np.ndarray, rank: int) -> np.ndarray:
+    """Eigenvectors of the `rank` largest eigenvalues of symmetric p as rows, with the sign rule."""
+    u = np.linalg.eigh(p)[1][:, : -rank - 1 : -1].T
+    return u * _sign_flips(u)[:, None]
+
+
+def _projectors(u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
+    """The mode-2 and mode-3 projectors U^T U, stacked as one vector."""
+    return np.concatenate(((u2.T @ u2).ravel(), (u3.T @ u3).ravel()))
+
+
+def _anderson(pairs) -> np.ndarray:
+    """Anderson extrapolation (Walker & Ni 2011, type II) from (input, output) pairs.
+
+    Returns g_k - dG gamma, where gamma fits the last residual f_k = g_k - x_k
+    by the differences dF of consecutive residuals in least squares.
+    """
+    xs = np.array([x for x, _ in pairs])
+    gs = np.array([g for _, g in pairs])
+    fs = gs - xs
+    gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
+    return gs[-1] - np.diff(gs, axis=0).T @ gamma
 
 
 def hosvd_init(t: Tensor3, ranks) -> TuckerModel:
@@ -231,14 +275,30 @@ def hooi(
 ) -> tuple[TuckerModel, FitReport]:
     """Higher-order orthogonal iteration from an HOSVD start.
 
-    Each iteration updates every factor to the leading left singular vectors
+    Each sweep updates every factor to the leading left singular vectors
     of the contracted unfolding, then re-solves the core.  Stops when the
     change of the relative reconstruction error (residual Frobenius norm over
     the input norm) falls below `tol`; if `factor_tol` is given, the largest
-    entrywise factor change per iteration must also fall below it.  The
+    entrywise factor change per sweep must also fall below it.  The
     second criterion matters when near-degenerate trailing components keep
     rotating long after the residual has flattened (the regression
     fixed point is only reached once the factors themselves stop moving).
+
+    Two exact shortcuts make each sweep cheaper.  The sweeps run on R from
+    one reduced QR, unfold(t, 1) = Q R, so mode 1 has min(N, M*K) rows; the
+    contractions, core and residual are those of t, and the mode-1 factor
+    lifts back as U1 = V1 Q^T.  Top vectors come from the smaller Gram
+    matrix.
+
+    Once the residual criterion holds but the factors still move, the slow
+    linear tail is extrapolated.  With the last ANDERSON_WINDOW + 1 kept
+    sweeps on record, every plain sweep is followed by one that starts from
+    an Anderson extrapolation of their mode-2/3 projectors U^T U (which,
+    unlike the factors, carry no basis or sign), retracted to its top
+    eigenvectors.  An extrapolated sweep is kept only if the core norm, and
+    hence the fit, did not fall; otherwise the history is dropped and the
+    iteration resumes from the last kept sweep.  The run stops only after a
+    plain sweep, so both criteria keep their meaning.
     """
     ranks = _validate_ranks(t.dims, ranks)
     if max_iter < 1:
@@ -246,52 +306,95 @@ def hooi(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
+    n, m, k = t.dims
     norm_x = frobenius_norm(t)
     scale = norm_x if norm_x > 0 else 1.0
     norm_x_sq = norm_x * norm_x
-    model = hosvd_init(t, ranks)
-    u1, u2, u3 = model.u1, model.u2, model.u3
-    core = model.core
+    q, r = np.linalg.qr(t.values.reshape(n, m * k))
+    compressed = r.reshape(-1, m, k)
+    model = hosvd_init(Tensor3(compressed), ranks)
 
-    def residual(core, u1, u2, u3) -> float:
+    def lift(v1) -> tuple[np.ndarray, np.ndarray]:
+        """Mode-1 factor in the coordinates of t with the sign rule, and its row flips."""
+        u1 = v1 @ q.T
+        flips = _sign_flips(u1)
+        return u1 * flips[:, None], flips
+
+    def residual(core_sq, core, v1, u2, u3) -> float:
         # orthonormal factors + projected core: ||resid||^2 = ||x||^2 - ||core||^2;
         # recompute explicitly when cancellation would dominate
-        r2 = norm_x_sq - float(np.sum(core * core))
+        r2 = norm_x_sq - core_sq
         if not np.isfinite(r2):
             raise FloatingPointError("non-finite values during HOOI iteration")
         if r2 > (1e-6 * scale) ** 2:
             return float(np.sqrt(r2))
-        approx = np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, optimize=True)
-        err = float(np.linalg.norm((t.values - approx).ravel()))
+        approx = np.einsum("abc,ai,bj,ck->ijk", core, v1, u2, u3, optimize=True)
+        err = float(np.linalg.norm((compressed - approx).ravel()))
         if not np.isfinite(err):
             raise FloatingPointError("non-finite values during HOOI iteration")
         return err
 
-    history = [residual(core, u1, u2, u3)]
-    converged = False
-    sweeps = 0
-    work = _HooiWorkspace(t)
     l1, l2, l3 = ranks
+    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core
+    core_sq = float(np.sum(core * core))
+    history = [residual(core_sq, core, v1, u2, u3)]
+    work = _HooiWorkspace(compressed)
+    pairs: deque = deque(maxlen=ANDERSON_WINDOW + 1)
+    accelerating = extrapolated = False
+    in2, in3 = u2, u3  # mode-2/3 factors the next sweep starts from
+    sweeps = accepted = rejected = 0
+    stop_reason = "max_iter"
     for _ in range(max_iter):
-        previous = (u1, u2, u3)
-        u1 = _top_left_vectors(work.contracted(u1, u2, u3, mode=1), l1)
-        u2 = _top_left_vectors(work.contracted(u1, u2, u3, mode=2), l2)
-        contracted3 = work.contracted(u1, u2, u3, mode=3)
-        u3 = _top_left_vectors(contracted3, l3)
+        s1 = _top_left_vectors(work.contracted(v1, in2, in3, mode=1), l1)
+        s2 = _top_left_vectors(work.contracted(s1, in2, in3, mode=2), l2)
+        contracted3 = work.contracted(s1, s2, in3, mode=3)
+        s3 = _top_left_vectors(contracted3, l3)
         # projected core, reusing the mode-3 contraction (columns are (l1, l2))
-        core = (u3 @ contracted3).reshape(l3, l1, l2).transpose(1, 2, 0)
+        s_core = (s3 @ contracted3).reshape(l3, l1, l2).transpose(1, 2, 0)
+        s_core_sq = float(np.sum(s_core * s_core))
         sweeps += 1
-        history.append(residual(core, u1, u2, u3))
-        if abs(history[-2] - history[-1]) / scale < tol:
-            if factor_tol is None or max(
-                float(np.max(np.abs(a - b)))
-                for a, b in zip((u1, u2, u3), previous)
-            ) < factor_tol:
-                converged = True
+        if extrapolated and s_core_sq < core_sq:
+            # the extrapolation lost fit: drop it with its history, resume plainly
+            rejected += 1
+            pairs.clear()
+            in2, in3, extrapolated = u2, u3, False
+            continue
+        accepted += extrapolated
+        previous = (v1, u2, u3)
+        v1, u2, u3, core, core_sq = s1, s2, s3, s_core, s_core_sq
+        history.append(residual(core_sq, core, v1, u2, u3))
+        if not extrapolated and abs(history[-2] - history[-1]) / scale < tol:
+            if factor_tol is None:
+                stop_reason = "residual"
                 break
+            moved = max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), previous[1:]))
+            if moved < factor_tol:
+                # U1 leaves the compressed coordinates only once U2 and U3 pass
+                moved = float(np.max(np.abs(lift(v1)[0] - lift(previous[0])[0])))
+            if moved < factor_tol:
+                stop_reason = "factor_tol"
+                break
+            accelerating = True
+        if accelerating:
+            pairs.append((_projectors(in2, in3), _projectors(u2, u3)))
+            if not extrapolated and len(pairs) == pairs.maxlen:
+                x = _anderson(pairs)
+                in2 = _top_eigenvectors(x[: m * m].reshape(m, m), l2)
+                in3 = _top_eigenvectors(x[m * m:].reshape(k, k), l3)
+                extrapolated = True
+                continue
+        in2, in3, extrapolated = u2, u3, False
 
-    model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)
-    report = FitReport(sweeps=sweeps, residual_history=np.array(history), converged=converged)
+    u1, flips = lift(v1)
+    model = TuckerModel(core=core * flips[:, None, None], u1=u1, u2=u2, u3=u3)
+    report = FitReport(
+        sweeps=sweeps,
+        residual_history=np.array(history),
+        converged=stop_reason != "max_iter",
+        stop_reason=stop_reason,
+        extrapolations_accepted=accepted,
+        extrapolations_rejected=rejected,
+    )
     return model, report
 
 
@@ -425,7 +528,8 @@ def btud_fit(
     solved in one factorization (pseudoinverse for alpha = 0, ridge with the
     pseudoinverse of Phi^T Phi + alpha*I otherwise), the row is orthogonalized
     against earlier rows and normalized, and the core is re-solved.  Sweeps
-    stop when the largest entrywise factor change falls below `tol`.
+    stop when the largest entrywise factor change falls below `tol` (stop
+    reason "factor_tol").
     """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
@@ -482,6 +586,7 @@ def btud_fit(
         sweeps=sweeps,
         residual_history=np.array(history),
         converged=converged,
+        stop_reason="factor_tol" if converged else "max_iter",
         self_consistent=check.self_consistent,
         max_mode_deviation=check.max_mode_deviation,
     )
@@ -560,7 +665,7 @@ def save_model(model: TuckerModel, path, beta: float | None = None,
     if report is not None:
         doc["fit_report"] = report.to_dict()
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, allow_nan=False)
         fh.write("\n")
 
 

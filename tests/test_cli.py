@@ -131,6 +131,39 @@ class TestDecompose:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("ranks", ["3,1,1", "1,3,1", "1,1,3"])
+    def test_infeasible_ranks_exit_1(self, tmp_path, capsys, ranks):
+        path = tmp_path / "t.txt"
+        tensor.write_tensor(tensor.Tensor3(np.random.default_rng(0).normal(size=(20, 4, 4))), path)
+        code = main(["decompose", "--experiment", "custom", "--ranks", ranks,
+                     "--data", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "product of the other two ranks" in err
+
+    def test_unchecked_fit_writes_strict_json(self, tmp_path, small_config):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = tmp_path / "run"
+        main(["generate", "--experiment", "synthetic-block",
+              "--config", str(small_config), "--out-dir", str(out)])
+        code = main(["decompose", "--experiment", "synthetic-block", "--solver", "hooi",
+                     "--config", str(small_config),
+                     "--data", str(out / "data.txt"), "--out-dir", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        doc = json.loads((out / "model.json").read_text(), parse_constant=reject)
+        assert doc["fit_report"] == report
+        assert report["self_consistent"] is None and report["max_mode_deviation"] is None
+        assert report["converged"] is True and report["stop_reason"] == "factor_tol"
+        cfg = build_config("synthetic-block", config_path=small_config)
+        expected, _ = decomp.hooi(tensor.read_tensor(out / "data.txt"), cfg.ranks,
+                                  max_iter=cfg.max_iter, tol=cfg.tol, factor_tol=cfg.factor_tol)
+        model, _ = decomp.load_model(out / "model.json")
+        for name in ("core", "u1", "u2", "u3"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name))
+
     def test_matrix_data_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         tensor.write_matrix(np.zeros((3, 3)), path)

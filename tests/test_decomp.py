@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from btucker import linalg
+from btucker import datagen, linalg
+from btucker.cli import build_config
 from btucker.decomp import (
+    DEFAULT_TOL,
+    FitReport,
     TuckerModel,
+    _top_left_vectors,
     btud_fit,
     core_regression,
     design_matrix,
@@ -20,6 +24,10 @@ from btucker.decomp import (
 )
 from btucker.errors import DegenerateComponentError
 from btucker.tensor import Tensor3, frobenius_norm, reconstruct, unfold
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def random_tensor(dims, seed=0):
@@ -44,6 +52,53 @@ def separable_tensor(dims, seed=0):
     a, b, c = (rng.normal(size=d) for d in dims)
     a, b, c = a / np.linalg.norm(a), b / np.linalg.norm(b), c / np.linalg.norm(c)
     return Tensor3(3.0 * np.einsum("i,j,k->ijk", a, b, c)), (a, b, c)
+
+
+def reference_top_vectors(y, rank):
+    """Leading left singular vectors of y unfolded along its first axis, as rows."""
+    return linalg.svd(y.reshape(y.shape[0], -1), rank=rank).U.T
+
+
+def reference_hooi(t, ranks, max_iter, tol, factor_tol=None):
+    """Textbook HOOI: einsum contractions and linalg.svd top vectors on the full tensor.
+
+    No compression and no extrapolation; starts from the textbook HOSVD and
+    stops by the same two criteria as hooi.  Returns (model, residual history).
+    """
+    x = t.values
+    scale = np.linalg.norm(x)
+
+    def fit(u1, u2, u3):
+        core = np.einsum("ijk,ai,bj,ck->abc", x, u1, u2, u3, optimize=True)
+        approx = np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, optimize=True)
+        return core, float(np.linalg.norm(x - approx))
+
+    u = [linalg.svd(unfold(t, m), rank=r).U.T for m, r in zip((1, 2, 3), ranks)]
+    core, res = fit(*u)
+    history = [res]
+    for _ in range(max_iter):
+        previous = u
+        u1 = reference_top_vectors(np.einsum("ijk,bj,ck->ibc", x, u[1], u[2], optimize=True), ranks[0])
+        u2 = reference_top_vectors(np.einsum("ijk,ai,ck->jac", x, u1, u[2], optimize=True), ranks[1])
+        u3 = reference_top_vectors(np.einsum("ijk,ai,bj->kab", x, u1, u2, optimize=True), ranks[2])
+        u = [u1, u2, u3]
+        core, res = fit(*u)
+        history.append(res)
+        if abs(history[-2] - history[-1]) / scale < tol and (
+            factor_tol is None
+            or max(np.max(np.abs(a - b)) for a, b in zip(u, previous)) < factor_tol
+        ):
+            break
+    return TuckerModel(core=core, u1=u[0], u2=u[1], u3=u[2]), np.array(history)
+
+
+def planted_tensor(dims, ranks, noise, seed):
+    """A random Tucker model plus Gaussian noise: well-separated singular values."""
+    model = random_model(dims, ranks, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    core = model.core + 5.0 * np.sign(model.core)
+    planted = TuckerModel(core=core, u1=model.u1, u2=model.u2, u3=model.u3)
+    return Tensor3(reconstruct(planted).values + noise * rng.normal(size=dims))
 
 
 class TestHosvdInit:
@@ -102,6 +157,74 @@ class TestHooi:
             hooi(t, (2, 2, 2), max_iter=0)
         with pytest.raises(ValueError):
             hooi(t, (2, 2, 2), tol=0.0)
+
+    @pytest.mark.parametrize("ranks", [(3, 1, 1), (1, 3, 1), (1, 1, 3)])
+    def test_rank_above_product_of_others_rejected(self, ranks):
+        t = random_tensor((20, 4, 4), seed=43)
+        for fit in (hooi, hosvd_init):
+            with pytest.raises(ValueError, match="product of the other two ranks"):
+                fit(t, ranks)
+
+    @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
+    def test_one_sweep_matches_reference(self, dims):
+        # tall: N > M*K, so the QR compression drops rows; short: N <= M*K
+        ranks = (2, 2, 2)
+        t = planted_tensor(dims, ranks, noise=0.1, seed=44)
+        model, report = hooi(t, ranks, max_iter=1)
+        expected, history = reference_hooi(t, ranks, max_iter=1, tol=DEFAULT_TOL)
+        assert report.sweeps == 1
+        for got, want in zip((model.core, model.u1, model.u2, model.u3),
+                             (expected.core, expected.u1, expected.u2, expected.u3)):
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(report.residual_history - history)) < 1e-12
+
+    def test_default_fit_stops_on_residual_without_extrapolating(self):
+        t = random_tensor((10, 8, 6), seed=45)
+        _, report = hooi(t, (3, 3, 3))
+        assert report.converged and report.stop_reason == "residual"
+        assert report.extrapolations_accepted == report.extrapolations_rejected == 0
+        assert report.sweeps == report.residual_history.size - 1
+
+    def test_max_iter_stop_reason(self):
+        t = random_tensor((10, 8, 6), seed=46)
+        _, report = hooi(t, (3, 3, 3), max_iter=2, tol=1e-15)
+        assert not report.converged
+        assert report.stop_reason == "max_iter"
+
+
+class TestTopLeftVectors:
+    @pytest.mark.parametrize("shape", [(6, 15), (15, 6)], ids=["wide", "tall"])
+    def test_matches_svd(self, shape):
+        b = np.random.default_rng(49).normal(size=shape)
+        got = _top_left_vectors(b, 4)
+        assert got.shape == (4, shape[0])
+        assert np.max(np.abs(got - linalg.svd(b, rank=4).U.T)) < 1e-10
+
+
+@pytest.fixture(scope="module", params=[1000, 1001])
+def preset_fits(request):
+    """A synthetic-block member fitted by hooi and by the reference, both with the preset."""
+    cfg = build_config("synthetic-block")
+    t, _ = datagen.gen_synthetic_block(datagen.SyntheticBlockParams(seed=request.param))
+    kwargs = {"max_iter": cfg.max_iter, "tol": cfg.tol, "factor_tol": cfg.factor_tol}
+    model, report = hooi(t, cfg.ranks, **kwargs)
+    expected, history = reference_hooi(t, cfg.ranks, **kwargs)
+    return model, report, expected, history
+
+
+class TestAcceleratedHooi:
+    def test_reaches_the_reference_fixed_point(self, preset_fits):
+        model, report, expected, history = preset_fits
+        assert report.converged and report.stop_reason == "factor_tol"
+        assert report.residual_history[-1] <= history[-1] + 1e-9
+        for got, want in zip((model.u1, model.u2, model.u3), (expected.u1, expected.u2, expected.u3)):
+            assert np.max(np.abs(got - want)) < 1e-4
+
+    def test_extrapolates_and_stays_monotone(self, preset_fits):
+        _, report, _, _ = preset_fits
+        assert report.extrapolations_accepted >= 1
+        assert np.all(np.diff(report.residual_history) <= 1e-7)
+        assert report.sweeps == report.residual_history.size - 1 + report.extrapolations_rejected
 
 
 class TestDesignMatrix:
@@ -387,6 +510,21 @@ class TestModelSerialization:
         assert np.array_equal(back.u3, model.u3)
         assert meta["beta"] == 3.5
         assert meta["fit_report"]["sweeps"] == report.sweeps
+
+    def test_unchecked_report_is_strict_json(self, tmp_path):
+        t = random_tensor((6, 5, 4), seed=50)
+        model, report = hooi(t, (2, 2, 2))
+        assert report.self_consistent is None and report.max_mode_deviation is None
+        path = tmp_path / "model.json"
+        save_model(model, path, beta=1.0, alpha=0.0, report=report)
+        doc = json.loads(path.read_text(), parse_constant=reject_constant)
+        fit = doc["fit_report"]
+        assert fit["self_consistent"] is None and fit["max_mode_deviation"] is None
+        assert fit["stop_reason"] == report.stop_reason
+        unfinite = FitReport(sweeps=0, residual_history=np.array([np.nan]),
+                             converged=False, stop_reason="max_iter")
+        with pytest.raises(ValueError):
+            save_model(model, path, report=unfinite)
 
     def test_json_is_plain_document(self, tmp_path):
         model = random_model((4, 3, 3), (1, 1, 1), seed=42)
