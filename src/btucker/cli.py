@@ -34,7 +34,8 @@ EXIT_DEGENERATE = 3
 
 SELF_CONSISTENCY_TOL = 1e-6
 
-# Named-experiment presets: generator defaults, rank caps, component choice.
+# Named-experiment presets: generator defaults, ranks (also the rank caps of
+# the experiment; an experiment without ranks has no cap), component choice.
 # The synthetic-block preset iterates HOOI past the residual plateau
 # (factor_tol) so the factors reach the regression fixed point that the
 # self-consistency check certifies; see README for the rationale.
@@ -42,25 +43,18 @@ PRESETS = {
     "synthetic-block": {
         "generator": {"N": 1000, "M": 20, "K": 20, "N1": 10, "mu": 1.0},
         "ranks": (10, 5, 5),
-        "rank_caps": (10, 5, 5),
         "components": (1,),
-        "solver": "hooi-then-check",
         "max_iter": 20000,
         "factor_tol": 1e-7,
     },
     "sinusoid": {
         "generator": {"N": 10000, "M": 100, "N1": 1000, "period": 3.0},
         "ranks": (10, 2, 1),
-        "rank_caps": (10, 2, 1),
         "components": (1, 2),
-        "solver": "hooi-then-check",
     },
     "rcs-gcm": {
         "generator": {"N": 10000, "steps": 100, "a": 1.75, "c": 0.04, "classic": False},
-        "ranks": (1, 1, 1),
-        "rank_caps": None,
         "components": (1,),
-        "solver": "hooi-then-check",
         # structured subpopulations dominate this data; the optimized-null-SD
         # route is the scoring regime built for that case
         "selection_mode": "td",
@@ -97,7 +91,7 @@ class ExperimentConfig:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.ensembles < 1:
             raise ValueError(f"ensembles must be >= 1, got {self.ensembles}")
-        caps = PRESETS.get(self.experiment, {}).get("rank_caps")
+        caps = PRESETS.get(self.experiment, {}).get("ranks")
         if caps is not None:
             for m, (r, cap) in enumerate(zip(self.ranks, caps), start=1):
                 if r > cap:
@@ -116,9 +110,8 @@ def build_config(experiment: str, config_path=None, overrides: dict | None = Non
     preset = PRESETS.get(experiment)
     if preset:
         cfg.generator = dict(preset["generator"])
-        cfg.ranks = tuple(preset["ranks"])
+        cfg.ranks = tuple(preset.get("ranks", cfg.ranks))
         cfg.components = tuple(preset["components"])
-        cfg.solver = preset["solver"]
         cfg.max_iter = preset.get("max_iter", cfg.max_iter)
         cfg.factor_tol = preset.get("factor_tol", cfg.factor_tol)
         cfg.selection_mode = preset.get("selection_mode", cfg.selection_mode)
@@ -362,7 +355,10 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
             for job in jobs:
                 members.append(_member_worker(job))
     finally:
-        _write_members_csv(members, out_dir / "ensemble_members.csv")
+        header = ["member", "seed", "selected", "tn", "fn", "fp", "tp"]
+        _write_csv(out_dir / "ensemble_members.csv", header,
+                   ([idx, m["seed"], m["selected_count"], *m.get("confusion", ("", "", "", ""))]
+                    for idx, m in enumerate(members)))
 
     summary: dict = {
         "experiment": cfg.experiment,
@@ -389,92 +385,59 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def _write_members_csv(members: list[dict], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["member", "seed", "selected", "tn", "fn", "fp", "tp"])
-        for idx, m in enumerate(members):
-            conf = m.get("confusion", ("", "", "", ""))
-            w.writerow([idx, m["seed"], m["selected_count"], *conf])
-
-
 def cmd_report(cfg: ExperimentConfig, run_dir: Path) -> int:
     """Emit plot-ready CSVs from the artifacts of a prior run in run_dir."""
     data_path = run_dir / "data.txt"
     selection_path = run_dir / "selection.csv"
     if not data_path.exists() or not selection_path.exists():
         raise OSError(f"missing data.txt or selection.csv under {run_dir}")
-    result = select.read_selection_csv(selection_path)
+    selected = select.read_selection_csv(selection_path).selected.astype(int)
     truth_path = run_dir / "truth.csv"
-    truth = datagen.read_truth_csv(truth_path) if truth_path.exists() else None
+    truth = datagen.read_truth_csv(truth_path).astype(int) if truth_path.exists() else None
+    truth_col = truth if truth is not None else [""] * selected.size
+    index = range(1, selected.size + 1)
 
     if tensor.data_kind(data_path) == "tensor":
         model_path = run_dir / "model.json"
         if not model_path.exists():
             raise OSError(f"missing model.json under {run_dir}")
         model, _ = decomp.load_model(model_path)
-        _write_factor_csv(
-            run_dir / "u1i.csv", "feature_index", model.u1[0], truth, result.selected
-        )
-        m = model.u2.shape[1]
-        _write_group_csv(run_dir / "u1j.csv", "j", model.u2[0], m // 2)
-        k = model.u3.shape[1]
-        _write_group_csv(run_dir / "u1k.csv", "k", model.u3[0], k // 2)
+        _write_csv(run_dir / "u1i.csv", ["feature_index", "u1", "truth", "selected"],
+                   zip(index, map(_fmt, model.u1[0]), truth_col, selected, strict=True))
+        for name, u in (("j", model.u2), ("k", model.u3)):
+            groups = [1 if i < u.shape[1] // 2 else 2 for i in range(u.shape[1])]
+            _write_csv(run_dir / f"u1{name}.csv", [name, "value", "group"],
+                       zip(range(1, u.shape[1] + 1), map(_fmt, u[0]), groups, strict=True))
     else:
-        # matrix runs keep no model file; factors are recomputed from the data
-        x = tensor.read_matrix(data_path)
-        svd = _matrix_factors(x, rank=2)
-        _write_scatter_csv(run_dir / "u1u2_scatter.csv", svd.U, truth, result.selected)
-        with open(run_dir / "uj_series.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["j", "u1j", "u2j"])
-            for j in range(svd.V.shape[0]):
-                w.writerow([j + 1, format(svd.V[j, 0], ".17g"),
-                            format(svd.V[j, 1] if svd.V.shape[1] > 1 else 0.0, ".17g")])
-        idx = np.arange(1, result.selected.size + 1)
-        np.savetxt(run_dir / "selected_rows.csv", idx[result.selected], fmt="%d",
+        # matrix runs keep no model file; factors come from the matrix the selection scored
+        x = select.scored_matrix(tensor.read_matrix(data_path), cfg.selection_mode)
+        svd = linalg.svd(x, rank=2)
+        u, v = (np.pad(a, ((0, 0), (0, 2 - svd.rank))) for a in (svd.U, svd.V))  # u2 = 0 at rank 1
+        header = ["feature_index", "u1i", "u2i", "truth", "selected"]
+        _write_csv(run_dir / "u1u2_scatter.csv", header,
+                   zip(index, map(_fmt, u[:, 0]), map(_fmt, u[:, 1]), truth_col, selected,
+                       strict=True))
+        _write_csv(run_dir / "uj_series.csv", ["j", "u1j", "u2j"],
+                   zip(range(1, v.shape[0] + 1), map(_fmt, v[:, 0]), map(_fmt, v[:, 1]),
+                       strict=True))
+        idx = np.arange(1, selected.size + 1)
+        np.savetxt(run_dir / "selected_rows.csv", idx[selected == 1], fmt="%d",
                    header="feature_index", comments="")
-        np.savetxt(run_dir / "unselected_rows.csv", idx[~result.selected], fmt="%d",
+        np.savetxt(run_dir / "unselected_rows.csv", idx[selected == 0], fmt="%d",
                    header="feature_index", comments="")
     print(f"report CSVs written to {run_dir}")
     return EXIT_OK
 
 
-def _matrix_factors(x: np.ndarray, rank: int):
-    return linalg.svd(x, rank=min(rank, min(x.shape)))
+def _fmt(value) -> str:
+    return format(value, ".17g")
 
 
-def _write_factor_csv(path, index_name, values, truth, selected) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([index_name, "u1", "truth", "selected"])
-        for i, v in enumerate(values):
-            w.writerow(
-                [i + 1, format(v, ".17g"),
-                 int(truth[i]) if truth is not None else "",
-                 int(selected[i])]
-            )
-
-
-def _write_group_csv(path, index_name, values, half) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([index_name, "value", "group"])
-        for i, v in enumerate(values):
-            w.writerow([i + 1, format(v, ".17g"), 1 if i < half else 2])
-
-
-def _write_scatter_csv(path, u, truth, selected) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["feature_index", "u1i", "u2i", "truth", "selected"])
-        for i in range(u.shape[0]):
-            w.writerow(
-                [i + 1, format(u[i, 0], ".17g"),
-                 format(u[i, 1] if u.shape[1] > 1 else 0.0, ".17g"),
-                 int(truth[i]) if truth is not None else "",
-                 int(selected[i])]
-            )
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
 """Tucker solvers and posterior statistics.
 
-Two routes to the same decomposition:
+Two routes to the same decomposition: :func:`hooi`, higher-order orthogonal
+iteration from :func:`hosvd_init` (the default), and :func:`btud_fit`, which
+updates each factor row as a (possibly ridge-regularized) least-squares
+coefficient against the design Phi built from the core and the other two
+factors, re-orthonormalizes it and re-solves the core after every component.
+:func:`self_consistency_check` certifies a model as a stationary point of the
+regression by comparing each factor with its posterior mean.
 
-* :func:`hooi`: classic higher-order orthogonal iteration (with
-  :func:`hosvd_init` as the standard initializer), the fast solver used by
-  default.
-* :func:`btud_fit`: the alternating linear-regression solver, where each
-  factor row is updated as a (possibly ridge-regularized) least-squares coefficient
-  against a design matrix built from the core and the other two factors,
-  then re-orthonormalized, with the core re-solved after every component.
+Every contraction of the data goes through one kernel, Y(m): the data
+contracted with the factors of the two other modes b, c and unfolded along
+mode m.  With G(m) the core unfolded in the same column order, for any
+factors, orthonormal or not,
 
-A fitted model can be certified as a stationary point of the regression
-formulation through :func:`self_consistency_check`, which compares each
-factor with the posterior mean computed from the remaining quantities.
-Posterior means and covariances follow the standard Gaussian linear-model
-formulas: S = (alpha*I + beta*Phi^T Phi)^{-1}, mean = Phi^+ x for alpha = 0
-and beta*S*Phi^T x otherwise.
+    Phi(m)^T X(m)^T = G(m) Y(m)^T,
+    Phi(m)^T Phi(m) = G(m) (Ub Ub^T kron Uc Uc^T) G(m)^T,
+
+so the (M*K, L) design of :func:`design_matrix` (kept as the reference) is
+never formed and every regression is one L x L solve,
+pinv(gram + ridge*I) @ rhs, for alpha = 0 and alpha > 0 alike.  The
+posterior is S = pinv(alpha*I + beta*Phi^T Phi) with mean beta*S*Phi^T x.
+The pseudoinverse of the L x L Gram drops eigenvalues below 1e-12 * L times
+the largest: singular values of Phi below sqrt(1e-12 * L) times the largest.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateComponentError, DegenerateRowError
+from .errors import DegenerateComponentError, DegenerateRowError, FileFormatError
 from .tensor import Tensor3, frobenius_norm, reconstruct, unfold
 
-ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the general core path kicks in
+ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
 BETA_CAP = 1e12            # reported noise precision for an exactly zero residual
 
 DEFAULT_MAX_ITER = 500
@@ -74,12 +80,6 @@ class TuckerModel:
 
     def factor(self, mode: int) -> np.ndarray:
         return (self.u1, self.u2, self.u3)[mode - 1]
-
-    def orthonormality_defect(self) -> float:
-        return max(
-            float(np.max(np.abs(u @ u.T - np.eye(u.shape[0]))))
-            for u in (self.u1, self.u2, self.u3)
-        )
 
 
 @dataclass(frozen=True)
@@ -176,35 +176,58 @@ def _validate_ranks(dims, ranks) -> tuple[int, int, int]:
     return ranks
 
 
-class _HooiWorkspace:
-    """Permutation-free GEMM kernels for the HOOI inner loop.
+# Per mode: (mode, p, q), the axes of the kernel's permuted copy of the data.
+_KERNEL_AXES = {1: (0, 1, 2), 2: (1, 2, 0), 3: (2, 1, 0)}
 
-    Holds one contiguous permuted copy of an (N, M, K) array per mode, so the
-    array contracted with the factors of the other two modes and unfolded
-    along the third costs two matrix products.  Its columns come in another
-    order than those of :func:`~btucker.tensor.unfold`, which the left
-    singular vectors do not depend on.
+
+class _ContractionKernel:
+    """The one contraction of the data that every solver and posterior here uses.
+
+    contracted(u1, u2, u3, m) is Y(m): the (N, M, K) array contracted with
+    the factors of its axes q, then p (u_m is ignored), as two matrix
+    products on a contiguous permuted copy made on first use of the mode.
+    Columns run over (q, p), p fastest, as in :func:`_core_unfolding`; the
+    left singular vectors HOOI takes do not depend on the column order.
     """
 
     def __init__(self, v: np.ndarray):
-        self.dims = v.shape
-        self.x1 = np.ascontiguousarray(v)                      # (N, M, K)
-        self.x2 = np.ascontiguousarray(v.transpose(1, 2, 0))   # (M, K, N)
-        self.x3 = np.ascontiguousarray(v.transpose(2, 1, 0))   # (K, M, N)
+        self.values = v
+        self._copies: dict[int, np.ndarray] = {}
 
     def contracted(self, u1, u2, u3, mode: int) -> np.ndarray:
-        n, m, k = self.dims
-        if mode == 1:
-            y = (self.x1.reshape(n * m, k) @ u3.T).reshape(n, m, -1)
-            y = np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(n * u3.shape[0], m)
-            return (y @ u2.T).reshape(n, -1)
-        if mode == 2:
-            y = (self.x2.reshape(m * k, n) @ u1.T).reshape(m, k, -1)
-            y = np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(m * u1.shape[0], k)
-            return (y @ u3.T).reshape(m, -1)
-        y = (self.x3.reshape(k * m, n) @ u1.T).reshape(k, m, -1)
-        y = np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(k * u1.shape[0], m)
-        return (y @ u2.T).reshape(k, -1)
+        _, p, q = axes = _KERNEL_AXES[mode]
+        x = self._copies.get(mode)
+        if x is None:
+            x = self._copies[mode] = np.ascontiguousarray(self.values.transpose(axes))
+        factors = (u1, u2, u3)
+        d, dp, dq = x.shape
+        y = (x.reshape(d * dp, dq) @ factors[q].T).reshape(d, dp, -1)
+        y = np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(-1, dp)
+        return (y @ factors[p].T).reshape(d, -1)
+
+
+def _core_unfolding(core: np.ndarray, mode: int) -> np.ndarray:
+    """G(m): the core unfolded along `mode` in the column order of the kernel's Y(m)."""
+    m, p, q = _KERNEL_AXES[mode]
+    return core.transpose(m, q, p).reshape(core.shape[m], -1)
+
+
+def _fold_core(g: np.ndarray, mode: int, ranks) -> np.ndarray:
+    """Inverse of :func:`_core_unfolding` for a core of shape `ranks`."""
+    m, p, q = _KERNEL_AXES[mode]
+    return g.reshape(ranks[m], ranks[q], ranks[p]).transpose(np.argsort((m, q, p)))
+
+
+def _kron_gram(factors, mode: int) -> np.ndarray:
+    """Ub Ub^T kron Uc Uc^T over the two other modes, so Phi^T Phi = G(m) (this) G(m)^T."""
+    _, p, q = _KERNEL_AXES[mode]
+    return np.kron(factors[q] @ factors[q].T, factors[p] @ factors[p].T)
+
+
+def _core_factor(u: np.ndarray) -> np.ndarray:
+    """The core solve's map: u, or pinv(u)^T if u is over ORTHONORMALITY_TOL from orthonormal."""
+    defect = float(np.max(np.abs(u @ u.T - np.eye(u.shape[0]))))
+    return u if defect <= ORTHONORMALITY_TOL else linalg.pseudoinverse(u).T
 
 
 def _sign_flips(rows: np.ndarray) -> np.ndarray:
@@ -338,7 +361,7 @@ def hooi(
     v1, u2, u3, core = model.u1, model.u2, model.u3, model.core
     core_sq = float(np.sum(core * core))
     history = [residual(core_sq, core, v1, u2, u3)]
-    work = _HooiWorkspace(compressed)
+    work = _ContractionKernel(compressed)
     pairs: deque = deque(maxlen=ANDERSON_WINDOW + 1)
     accelerating = extrapolated = False
     in2, in3 = u2, u3  # mode-2/3 factors the next sweep starts from
@@ -349,8 +372,8 @@ def hooi(
         s2 = _top_left_vectors(work.contracted(s1, in2, in3, mode=2), l2)
         contracted3 = work.contracted(s1, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
-        # projected core, reusing the mode-3 contraction (columns are (l1, l2))
-        s_core = (s3 @ contracted3).reshape(l3, l1, l2).transpose(1, 2, 0)
+        # projected core, reusing the mode-3 contraction
+        s_core = _fold_core(s3 @ contracted3, 3, ranks)
         s_core_sq = float(np.sum(s_core * s_core))
         sweeps += 1
         if extrapolated and s_core_sq < core_sq:
@@ -420,22 +443,50 @@ def design_matrix(model: TuckerModel, mode: int) -> np.ndarray:
 def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
     """Least-squares core for fixed factors.
 
-    With row-orthonormal factors the solution is the projected core
-    G[a,b,c] = sum_{ijk} u1[a,i] u2[b,j] u3[c,k] x[i,j,k]; otherwise the
-    general pseudoinverse solution is used (mode products with the
-    pseudoinverse of each transposed factor, equivalent to regressing the
-    vectorized tensor on the Kronecker design).
+    The data are contracted with pinv(u_m)^T in every mode, which solves the
+    regression of the vectorized tensor on the Kronecker design.  A factor
+    whose rows are orthonormal to ORTHONORMALITY_TOL enters as itself, so
+    row-orthonormal factors give the projected core
+    G[a,b,c] = sum_{ijk} u1[a,i] u2[b,j] u3[c,k] x[i,j,k].
     """
-    x = t.values
-    defect = max(
-        float(np.max(np.abs(u @ u.T - np.eye(u.shape[0])))) for u in (u1, u2, u3)
-    )
-    if defect <= ORTHONORMALITY_TOL:
-        return np.einsum("ijk,ai,bj,ck->abc", x, u1, u2, u3, optimize=True)
-    p1 = linalg.pseudoinverse(u1).T
-    p2 = linalg.pseudoinverse(u2).T
-    p3 = linalg.pseudoinverse(u3).T
-    return np.einsum("ijk,ai,bj,ck->abc", x, p1, p2, p3, optimize=True)
+    p = [_core_factor(u) for u in (u1, u2, u3)]
+    y = _ContractionKernel(t.values).contracted(*p, 3)
+    return _fold_core(p[2] @ y, 3, [u.shape[0] for u in p])
+
+
+def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: float) -> None:
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if model.dims != t.dims:
+        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
+
+
+def _gaussian_posterior(gram, rhs, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean pinv(gram + alpha/beta I) rhs and covariance pinv(alpha I + beta gram), symmetrized."""
+    inv = linalg.pseudoinverse(gram + (alpha / beta) * np.eye(gram.shape[0]))
+    cov = inv / beta
+    return inv @ rhs, 0.5 * (cov + cov.T)
+
+
+def _mode_posterior(work: _ContractionKernel, model: TuckerModel, mode: int,
+                    alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    factors = (model.u1, model.u2, model.u3)
+    g = _core_unfolding(model.core, mode)
+    gram = g @ _kron_gram(factors, mode) @ g.T
+    return _gaussian_posterior(gram, g @ work.contracted(*factors, mode).T, alpha, beta)
+
+
+def _core_posterior(work: _ContractionKernel, model: TuckerModel,
+                    alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    u1, u2, u3 = model.u1, model.u2, model.u3
+    # Gram of the vectorized-core design as kron(G3, G2, G1) so the first
+    # core index varies fastest, matching ravel(order="F").
+    gram = np.kron(u3 @ u3.T, np.kron(u2 @ u2.T, u1 @ u1.T))
+    proj = _fold_core(u3 @ work.contracted(u1, u2, u3, 3), 3, model.ranks)
+    mean, cov = _gaussian_posterior(gram, proj.ravel(order="F"), alpha, beta)
+    return mean.reshape(model.ranks, order="F"), cov
 
 
 def posterior_stats(
@@ -444,73 +495,31 @@ def posterior_stats(
     """Posterior mean matrix and shared covariance for one mode's coefficients.
 
     Returns (mean, cov) with mean of shape (L, dim), one column per fiber,
-    and cov of shape (L, L).  alpha = 0 uses the plain pseudoinverse solution
-    and reports cov = (beta * Phi^T Phi)^+; alpha > 0 uses the ridge form.
+    and cov = (alpha*I + beta*Phi^T Phi)^+ of shape (L, L); the mean is
+    beta * cov @ Phi^T X^T, the least-squares solution at alpha = 0.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if model.dims != t.dims:
-        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
-    phi = design_matrix(model, mode)
-    xm = unfold(t, mode)  # rows are fibers, columns match phi rows
-    gram = phi.T @ phi
-    if alpha == 0.0:
-        mean = linalg.pseudoinverse(phi) @ xm.T
-        cov = linalg.pseudoinverse(beta * gram)
-    else:
-        a = alpha * np.eye(gram.shape[0]) + beta * gram
-        try:
-            cov = np.linalg.inv(a)
-        except np.linalg.LinAlgError as exc:  # cannot happen for alpha > 0
-            raise RuntimeError("alpha*I + beta*Phi^T Phi reported singular") from exc
-        mean = beta * cov @ phi.T @ xm.T
-    return mean, 0.5 * (cov + cov.T)
-
-
-def _core_gram_and_projection(t: Tensor3, model: TuckerModel) -> tuple[np.ndarray, np.ndarray]:
-    # Gram of the vectorized-core design factors as kron(G3, G2, G1) so the
-    # first core index varies fastest, matching ravel(order="F").
-    g1 = model.u1 @ model.u1.T
-    g2 = model.u2 @ model.u2.T
-    g3 = model.u3 @ model.u3.T
-    gram = np.kron(g3, np.kron(g2, g1))
-    proj = np.einsum(
-        "ijk,ai,bj,ck->abc", t.values, model.u1, model.u2, model.u3, optimize=True
-    ).ravel(order="F")
-    return gram, proj
+    if mode not in _KERNEL_AXES:
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    _check_posterior_args(t, model, alpha, beta)
+    return _mode_posterior(_ContractionKernel(t.values), model, mode, alpha, beta)
 
 
 def posterior_core_stats(
     t: Tensor3, model: TuckerModel, alpha: float, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean (core-shaped) and covariance of the vectorized core."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if model.dims != t.dims:
-        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
-    gram, proj = _core_gram_and_projection(t, model)
-    if alpha == 0.0:
-        mean_vec = linalg.pseudoinverse(gram) @ proj
-        cov = linalg.pseudoinverse(beta * gram)
-    else:
-        a = alpha * np.eye(gram.shape[0]) + beta * gram
-        cov = np.linalg.inv(a)
-        mean_vec = beta * cov @ proj
-    mean = mean_vec.reshape(model.ranks, order="F")
-    return mean, 0.5 * (cov + cov.T)
+    _check_posterior_args(t, model, alpha, beta)
+    return _core_posterior(_ContractionKernel(t.values), model, alpha, beta)
+
+
+def _noise_precision(resid: np.ndarray) -> float:
+    ssq = float(np.sum(resid * resid))
+    return BETA_CAP if ssq == 0.0 else resid.size / ssq
 
 
 def estimate_beta(t: Tensor3, model: TuckerModel) -> float:
     """Noise precision from the mean squared residual; capped at 1e12 for exact fits."""
-    resid = t.values - reconstruct(model).values
-    ssq = float(np.sum(resid * resid))
-    if ssq == 0.0:
-        return BETA_CAP
-    return t.values.size / ssq
+    return _noise_precision(t.values - reconstruct(model).values)
 
 
 def btud_fit(
@@ -523,13 +532,13 @@ def btud_fit(
     """Alternating-regression Tucker solver.
 
     One sweep visits modes 1, 2, 3 in order.  Within a mode, components are
-    processed one at a time: the design matrix is rebuilt from the current
-    core and other factors, the component's coefficients for every fiber are
-    solved in one factorization (pseudoinverse for alpha = 0, ridge with the
-    pseudoinverse of Phi^T Phi + alpha*I otherwise), the row is orthogonalized
-    against earlier rows and normalized, and the core is re-solved.  Sweeps
-    stop when the largest entrywise factor change falls below `tol` (stop
-    reason "factor_tol").
+    processed one at a time: the coefficients of every fiber are solved as
+    pinv(Phi^T Phi + alpha*I) Phi^T X^T for the current core and other
+    factors, the component's row is orthogonalized against earlier rows and
+    normalized, and the core is re-solved.  The other two factors stay fixed
+    within a mode, so Y(m) is contracted once per mode (see the module
+    docstring).  Sweeps stop when the largest entrywise factor change falls
+    below `tol` (stop reason "factor_tol").
     """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
@@ -540,47 +549,43 @@ def btud_fit(
 
     factors = [init.u1.copy(), init.u2.copy(), init.u3.copy()]
     core = init.core.copy()
-    unfoldings = {mode: unfold(t, mode) for mode in (1, 2, 3)}
+    work = _ContractionKernel(t.values)
 
     def current_model() -> TuckerModel:
         return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
 
-    def residual() -> float:
-        return float(np.linalg.norm((t.values - reconstruct(current_model()).values).ravel()))
+    def residual() -> tuple[float, float]:  # norm and noise precision from one reconstruction
+        resid = t.values - reconstruct(current_model()).values
+        return float(np.linalg.norm(resid.ravel())), _noise_precision(resid)
 
-    history = [residual()]
-    converged = False
-    sweeps = 0
-    beta = estimate_beta(t, current_model())
-    for _ in range(max_sweeps):
+    norm, beta = residual()
+    history = [norm]
+    for sweeps in range(1, max_sweeps + 1):
         before = [u.copy() for u in factors]
         for mode in (1, 2, 3):
+            y = work.contracted(*factors, mode)
+            p = [_core_factor(u) for u in factors]  # the core solve's maps, as in core_regression
+            y_core = y if all(a is b for a, b in zip(p, factors)) else work.contracted(*p, mode)
+            other_gram = _kron_gram(factors, mode)
             u = factors[mode - 1]
-            xm = unfoldings[mode]
             for comp in range(u.shape[0]):
-                phi = design_matrix(current_model(), mode)
-                if alpha == 0.0:
-                    coef = linalg.pseudoinverse(phi) @ xm.T
-                else:
-                    ridge = linalg.pseudoinverse(phi.T @ phi + alpha * np.eye(phi.shape[1]))
-                    coef = ridge @ phi.T @ xm.T
-                u[comp] = coef[comp]
+                g = _core_unfolding(core, mode)
+                ridge = linalg.pseudoinverse(g @ other_gram @ g.T + alpha * np.eye(g.shape[0]))
+                u[comp] = (ridge[comp] @ g) @ y.T
                 try:
                     factors[mode - 1] = linalg.orthonormalize_rows(u, comp)
                 except DegenerateRowError as exc:
                     raise DegenerateComponentError(mode, comp) from exc
                 u = factors[mode - 1]
-                core = core_regression(t, *factors)
-        sweeps += 1
-        beta = estimate_beta(t, current_model())
-        history.append(residual())
-        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
-        if delta < tol:
-            converged = True
+                core = _fold_core(_core_factor(u) @ y_core, mode, core.shape)
+        norm, beta = residual()
+        history.append(norm)
+        converged = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before)) < tol
+        if converged:
             break
 
     model = current_model()
-    stats = _full_posterior(t, model, alpha, beta)
+    stats = _full_posterior(work, model, alpha, beta)
     check = self_consistency_check(t, model, alpha=alpha, beta=beta, tol=tol, stats=stats)
     report = FitReport(
         sweeps=sweeps,
@@ -593,21 +598,10 @@ def btud_fit(
     return model, stats, report
 
 
-def _full_posterior(t: Tensor3, model: TuckerModel, alpha: float, beta: float) -> PosteriorStats:
-    means, covs = [], []
-    for mode in (1, 2, 3):
-        m, s = posterior_stats(t, model, mode, alpha, beta)
-        means.append(m)
-        covs.append(s)
-    core_mean, core_cov = posterior_core_stats(t, model, alpha, beta)
-    return PosteriorStats(
-        mode_means=tuple(means),
-        mode_covs=tuple(covs),
-        core_mean=core_mean,
-        core_cov=core_cov,
-        alpha=alpha,
-        beta=beta,
-    )
+def _full_posterior(work: _ContractionKernel, model: TuckerModel,
+                    alpha: float, beta: float) -> PosteriorStats:
+    means, covs = zip(*(_mode_posterior(work, model, mode, alpha, beta) for mode in (1, 2, 3)))
+    return PosteriorStats(means, covs, *_core_posterior(work, model, alpha, beta), alpha, beta)
 
 
 def self_consistency_check(
@@ -625,7 +619,8 @@ def self_consistency_check(
     model is accepted when every deviation is at most `tol`.
     """
     if stats is None:
-        stats = _full_posterior(t, model, alpha, beta)
+        _check_posterior_args(t, model, alpha, beta)
+        stats = _full_posterior(_ContractionKernel(t.values), model, alpha, beta)
     deviations = []
     for mode in (1, 2, 3):
         u = model.factor(mode)
@@ -670,16 +665,19 @@ def save_model(model: TuckerModel, path, beta: float | None = None,
 
 
 def load_model(path) -> tuple[TuckerModel, dict]:
-    """Returns the model plus the remaining metadata fields (alpha, beta, fit_report)."""
+    """Returns the model plus the remaining metadata fields (alpha, beta, fit_report).
+
+    Raises FileFormatError unless ranks, core and u1-u3 are present, consistent and finite.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    ranks = tuple(doc["ranks"])
-    core = np.array(doc["core"], dtype=np.float64).reshape(ranks, order="F")
-    model = TuckerModel(
-        core=core,
-        u1=np.array(doc["u1"], dtype=np.float64),
-        u2=np.array(doc["u2"], dtype=np.float64),
-        u3=np.array(doc["u3"], dtype=np.float64),
-    )
+    try:
+        core = np.array(doc["core"], dtype=np.float64).reshape(tuple(doc["ranks"]), order="F")
+        factors = {u: np.array(doc[u], dtype=np.float64) for u in ("u1", "u2", "u3")}
+        model = TuckerModel(core=core, **factors)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
+    if not all(np.all(np.isfinite(a)) for a in (core, *factors.values())):
+        raise FileFormatError(f"malformed model file {path}: non-finite entries")
     meta = {k: doc[k] for k in ("alpha", "beta", "fit_report") if k in doc}
     return model, meta

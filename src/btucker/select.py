@@ -263,6 +263,18 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     return z / np.where((sd > 0) & (np.ptp(x, axis=0) > 0), sd, 1.0)
 
 
+def scored_matrix(x: np.ndarray, mode: str) -> np.ndarray:
+    """The matrix whose SVD the `mode` route of :func:`svd_select` scores.
+
+    "td" scores the column-standardized matrix (:func:`standardize_columns`),
+    "btud" the raw one.  Reports take their factors from the same matrix.
+    """
+    if mode not in ("td", "btud"):
+        raise ValueError(f"mode must be 'td' or 'btud', got {mode!r}")
+    x = np.asarray(x, dtype=np.float64)
+    return standardize_columns(x) if mode == "td" else x
+
+
 def svd_select(
     x: np.ndarray,
     components,
@@ -285,22 +297,19 @@ def svd_select(
     residual of the selected-component reconstruction, and scores rows by
     the calibrated posterior chi-square sum (see :func:`btud_statistic`).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = scored_matrix(x, mode)
     if x.ndim != 2:
         raise ValueError("expected a matrix")
-    if mode not in ("td", "btud"):
-        raise ValueError(f"mode must be 'td' or 'btud', got {mode!r}")
     comps = _component_indices(components, min(x.shape))
+    res = linalg.svd(x, rank=int(comps.max()))
 
     if mode == "td":
-        res = linalg.svd(standardize_columns(x), rank=int(comps.max()))
         u_feat = res.U.T  # rows are components, columns are features
         fit = optimize_sigma(
             u_feat, comps, bins=bins, exclusion_threshold=exclusion_threshold
         )
         stat = td_statistic(u_feat, fit.sigma, comps)
     else:
-        res = linalg.svd(x, rank=int(comps.max()))
         phi = res.V[:, comps - 1] * res.s[comps - 1]  # columns: singular value * right vector
         approx = (res.U[:, comps - 1] * res.s[comps - 1]) @ res.V[:, comps - 1].T
         ssq = float(np.sum((x - approx) ** 2))

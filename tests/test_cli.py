@@ -1,10 +1,11 @@
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from btucker import datagen, decomp, select, tensor
+from btucker import datagen, decomp, linalg, select, tensor
 from btucker.cli import (
     ConfusionReport,
     build_config,
@@ -12,6 +13,7 @@ from btucker.cli import (
     main,
     run_member,
 )
+from btucker.errors import FileFormatError
 
 SMALL_BLOCK = {
     "generator": {"N": 80, "M": 8, "K": 8, "N1": 6, "mu": 2.0},
@@ -217,6 +219,33 @@ class TestSelect:
         assert fp <= 5
 
 
+class TestMalformedModel:
+    @pytest.mark.parametrize("defect", ["missing-core", "ragged-u1", "short-core", "nan-u2"])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, defect):
+        rng = np.random.default_rng(8)
+        t = tensor.Tensor3(rng.normal(size=(6, 5, 4)))
+        tensor.write_tensor(t, tmp_path / "data.txt")
+        model, _ = decomp.hooi(t, (2, 2, 2))
+        decomp.save_model(model, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        if defect == "missing-core":
+            del doc["core"]
+        elif defect == "ragged-u1":
+            doc["u1"][1].pop()
+        elif defect == "short-core":
+            doc["core"].pop()
+        else:
+            doc["u2"][0][0] = float("nan")
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError):
+            decomp.load_model(tmp_path / "model.json")
+        code = main(["select", "--experiment", "custom", "--data", str(tmp_path / "data.txt"),
+                     "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed model file") and err.count("\n") == 1
+
+
 class TestEvaluate:
     def test_hand_built_case(self, tmp_path):
         sel = select.select_features(
@@ -331,6 +360,21 @@ class TestReport:
             "feature_index,u1i,u2i,truth,selected"
         assert open(out / "uj_series.csv").readline().strip() == "j,u1j,u2j"
         assert open(out / "selected_rows.csv").readline().strip() == "feature_index"
+
+    def test_gcm_report_plots_the_scored_factors(self, tmp_path):
+        # the td route scores the column-standardized matrix, so the report plots its SVD
+        cfg = tmp_path / "gcm.json"
+        cfg.write_text(json.dumps({"generator": {"N": 150, "steps": 30}, "seed": 7}))
+        out = tmp_path / "run"
+        for command in (["generate"], ["select", "--data", str(out / "data.txt")], ["report"]):
+            code = main([command[0], "--experiment", "rcs-gcm", "--config", str(cfg),
+                         "--out-dir", str(out), *command[1:]])
+            assert code == 0
+        x = tensor.read_matrix(out / "data.txt")
+        scored = linalg.svd(select.standardize_columns(x), rank=2).U[:, 0]
+        with open(out / "u1u2_scatter.csv", newline="") as fh:
+            plotted = np.array([float(row["u1i"]) for row in csv.DictReader(fh)])
+        assert np.array_equal(plotted, scored)
 
     def test_missing_inputs_exit(self, tmp_path):
         code = main(["report", "--experiment", "sinusoid",

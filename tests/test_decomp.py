@@ -7,6 +7,7 @@ from btucker import datagen, linalg
 from btucker.cli import build_config
 from btucker.decomp import (
     DEFAULT_TOL,
+    ORTHONORMALITY_TOL,
     FitReport,
     TuckerModel,
     _top_left_vectors,
@@ -90,6 +91,77 @@ def reference_hooi(t, ranks, max_iter, tol, factor_tol=None):
         ):
             break
     return TuckerModel(core=core, u1=u[0], u2=u[1], u3=u[2]), np.array(history)
+
+
+def reference_core_regression(t, u1, u2, u3):
+    """The least-squares core by full-tensor einsum: projected if every factor is orthonormal."""
+    defect = max(float(np.max(np.abs(u @ u.T - np.eye(u.shape[0])))) for u in (u1, u2, u3))
+    if defect > ORTHONORMALITY_TOL:
+        u1, u2, u3 = (linalg.pseudoinverse(u).T for u in (u1, u2, u3))
+    return np.einsum("ijk,ai,bj,ck->abc", t.values, u1, u2, u3, optimize=True)
+
+
+def reference_btud_fit(t, init, alpha, max_sweeps, tol):
+    """The alternating-regression solver on the explicit design matrix.
+
+    Per component it builds the full design, solves every row through its
+    SVD pseudoinverse (or the ridge pseudoinverse), keeps one row and
+    re-solves the core on the full tensor.  Returns (model, residual
+    history, beta, sweeps, converged).
+    """
+    factors = [init.u1.copy(), init.u2.copy(), init.u3.copy()]
+    core = init.core.copy()
+    unfoldings = {mode: unfold(t, mode) for mode in (1, 2, 3)}
+
+    def current_model():
+        return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
+
+    def residual():
+        return float(np.linalg.norm((t.values - reconstruct(current_model()).values).ravel()))
+
+    history = [residual()]
+    converged = False
+    sweeps = 0
+    beta = estimate_beta(t, current_model())
+    for _ in range(max_sweeps):
+        before = [u.copy() for u in factors]
+        for mode in (1, 2, 3):
+            u = factors[mode - 1]
+            xm = unfoldings[mode]
+            for comp in range(u.shape[0]):
+                phi = design_matrix(current_model(), mode)
+                if alpha == 0.0:
+                    coef = linalg.pseudoinverse(phi) @ xm.T
+                else:
+                    ridge = linalg.pseudoinverse(phi.T @ phi + alpha * np.eye(phi.shape[1]))
+                    coef = ridge @ phi.T @ xm.T
+                u[comp] = coef[comp]
+                factors[mode - 1] = linalg.orthonormalize_rows(u, comp)
+                u = factors[mode - 1]
+                core = reference_core_regression(t, *factors)
+        sweeps += 1
+        beta = estimate_beta(t, current_model())
+        history.append(residual())
+        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
+        if delta < tol:
+            converged = True
+            break
+    return current_model(), np.array(history), beta, sweeps, converged
+
+
+def reference_posterior(t, model, mode, alpha, beta):
+    """Posterior mean and covariance of one mode on the explicit design matrix."""
+    phi = design_matrix(model, mode)
+    xm = unfold(t, mode)
+    if alpha == 0.0:
+        return linalg.pseudoinverse(phi) @ xm.T, linalg.pseudoinverse(beta * (phi.T @ phi))
+    cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * (phi.T @ phi))
+    return beta * cov @ phi.T @ xm.T, cov
+
+
+def assert_models_close(got, want, tol):
+    for name in ("core", "u1", "u2", "u3"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) < tol, name
 
 
 def planted_tensor(dims, ranks, noise, seed):
@@ -209,22 +281,66 @@ def preset_fits(request):
     kwargs = {"max_iter": cfg.max_iter, "tol": cfg.tol, "factor_tol": cfg.factor_tol}
     model, report = hooi(t, cfg.ranks, **kwargs)
     expected, history = reference_hooi(t, cfg.ranks, **kwargs)
-    return model, report, expected, history
+    return model, report, expected, history, t
 
 
 class TestAcceleratedHooi:
     def test_reaches_the_reference_fixed_point(self, preset_fits):
-        model, report, expected, history = preset_fits
+        model, report, expected, history, _ = preset_fits
         assert report.converged and report.stop_reason == "factor_tol"
         assert report.residual_history[-1] <= history[-1] + 1e-9
         for got, want in zip((model.u1, model.u2, model.u3), (expected.u1, expected.u2, expected.u3)):
             assert np.max(np.abs(got - want)) < 1e-4
 
     def test_extrapolates_and_stays_monotone(self, preset_fits):
-        _, report, _, _ = preset_fits
+        _, report, _, _, _ = preset_fits
         assert report.extrapolations_accepted >= 1
         assert np.all(np.diff(report.residual_history) <= 1e-7)
         assert report.sweeps == report.residual_history.size - 1 + report.extrapolations_rejected
+
+
+class TestBtudMatchesReference:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
+    def test_three_sweeps_from_hosvd(self, dims, alpha):
+        t = random_tensor(dims, seed=51)
+        init = hosvd_init(t, (2, 2, 2))
+        model, stats, report = btud_fit(t, init, alpha=alpha, max_sweeps=3, tol=1e-15)
+        expected, history, beta, sweeps, converged = reference_btud_fit(t, init, alpha, 3, 1e-15)
+        assert report.sweeps == sweeps == 3 and report.converged is converged is False
+        assert_models_close(model, expected, 1e-12)
+        assert np.max(np.abs(report.residual_history - history)) < 1e-12
+        assert abs(stats.beta - beta) <= 1e-12 * beta
+
+    def test_preset_refit(self, preset_fits):
+        init, _, _, _, t = preset_fits
+        model, _, report = btud_fit(t, init, alpha=0.0, max_sweeps=5, tol=1e-6)
+        expected, history, _, sweeps, converged = reference_btud_fit(t, init, 0.0, 5, 1e-6)
+        assert report.sweeps == sweeps == 1 and report.converged and converged
+        assert_models_close(model, expected, 1e-12)
+        assert np.max(np.abs(report.residual_history - history)) < 1e-12
+
+
+class TestPosteriorMatchesDesignMatrix:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["orthonormal", "general", "rank-deficient"])
+    def test_mean_and_cov(self, kind, mode, alpha):
+        dims, ranks = (7, 6, 5), (3, 2, 2)
+        model = random_model(dims, ranks, seed=52)
+        core, factors = model.core.copy(), (model.u1, model.u2, model.u3)
+        if kind == "general":
+            rng = np.random.default_rng(53)
+            factors = tuple(rng.normal(size=u.shape) for u in factors)
+        elif kind == "rank-deficient":
+            np.moveaxis(core, mode - 1, 0)[1] = 0.0  # G(m) loses a row
+        model = TuckerModel(core, *factors)
+        t = random_tensor(dims, seed=54)
+        beta = 1.7
+        mean, cov = posterior_stats(t, model, mode, alpha=alpha, beta=beta)
+        want_mean, want_cov = reference_posterior(t, model, mode, alpha, beta)
+        assert np.max(np.abs(mean - want_mean)) < 1e-12 * max(1.0, np.max(np.abs(want_mean)))
+        assert np.max(np.abs(cov - want_cov)) < 1e-12 * np.max(np.abs(want_cov))
 
 
 class TestDesignMatrix:
@@ -318,6 +434,18 @@ class TestCoreRegression:
         u1 = rng.normal(size=(2, 4))
         u2 = rng.normal(size=(2, 4))
         u3 = rng.normal(size=(2, 4))
+        got = core_regression(t, u1, u2, u3)
+        a = np.kron(u3.T, np.kron(u2.T, u1.T))
+        g, *_ = np.linalg.lstsq(a, t.values.ravel(order="F"), rcond=None)
+        assert np.max(np.abs(got - g.reshape((2, 2, 2), order="F"))) < 1e-9
+
+
+    def test_mixed_factors_match_kronecker_regression(self):
+        # an orthonormal factor enters as itself, the others through their pseudoinverse
+        rng = np.random.default_rng(55)
+        t = random_tensor((5, 4, 4), seed=56)
+        u1 = random_model((5, 4, 4), (2, 2, 2), seed=57).u1
+        u2, u3 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
         got = core_regression(t, u1, u2, u3)
         a = np.kron(u3.T, np.kron(u2.T, u1.T))
         g, *_ = np.linalg.lstsq(a, t.values.ravel(order="F"), rcond=None)
