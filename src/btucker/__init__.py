@@ -35,7 +35,6 @@ from .select import (
     SelectionResult,
     SigmaFit,
     bh_adjust,
-    btud_pvalues,
     chi2_sf,
     optimize_sigma,
     rank_components_by_core,
@@ -55,7 +54,7 @@ __all__ = [
     "posterior_stats", "posterior_core_stats", "estimate_beta",
     "btud_fit", "self_consistency_check",
     "SelectionResult", "SigmaFit", "chi2_sf", "bh_adjust",
-    "btud_pvalues", "td_pvalues", "optimize_sigma",
+    "td_pvalues", "optimize_sigma",
     "rank_components_by_core", "svd_select", "select_features",
     "SyntheticBlockParams", "SinusoidParams", "GcmParams",
     "gen_synthetic_block", "gen_sinusoid", "simulate_rcs_gcm",

@@ -1,10 +1,12 @@
 """Command-line front end: generate / decompose / select / evaluate / ensemble / report.
 
 Named experiments carry their standard parameters as presets (data sizes,
-rank caps, component choice); any field can be overridden through a JSON
-config file or flags.  All outputs are deterministic functions of the
-configuration and seed; ensemble member e runs with seed + e, so member 0
-reproduces a standalone run with the same base seed.
+rank caps, component choice).  The preset, a JSON config file and the flags
+are applied in that order through one path, so each can override any field.
+Outputs are deterministic functions of the configuration, the seed and the
+BLAS thread count (the HOOI stopping sweep moves with the thread count).
+Ensemble member e runs with seed + e, so member 0 reproduces a standalone
+run with the same base seed.
 
 Exit codes: 0 success, 1 usage/validation error, 2 I/O error, 3 numerical
 degeneracy.
@@ -34,11 +36,19 @@ EXIT_DEGENERATE = 3
 
 SELF_CONSISTENCY_TOL = 1e-6
 
-# Named-experiment presets: generator defaults, ranks (also the rank caps of
-# the experiment; an experiment without ranks has no cap), component choice.
-# The synthetic-block preset iterates HOOI past the residual plateau
-# (factor_tol) so the factors reach the regression fixed point that the
-# self-consistency check certifies; see README for the rationale.
+# The params class of each named experiment's generator; a config's generator
+# keys are its fields other than seed.
+EXPERIMENTS = {
+    "synthetic-block": datagen.SyntheticBlockParams,
+    "sinusoid": datagen.SinusoidParams,
+    "rcs-gcm": datagen.GcmParams,
+}
+
+# Named-experiment presets, applied like a config file: generator defaults,
+# ranks (also the rank caps of the experiment; an experiment without ranks has
+# no cap), component choice.  The synthetic-block preset iterates HOOI past
+# the residual plateau (factor_tol) so the factors reach the regression fixed
+# point that the self-consistency check certifies; see README for the rationale.
 PRESETS = {
     "synthetic-block": {
         "generator": {"N": 1000, "M": 20, "K": 20, "N1": 10, "mu": 1.0},
@@ -53,12 +63,19 @@ PRESETS = {
         "components": (1, 2),
     },
     "rcs-gcm": {
-        "generator": {"N": 10000, "steps": 100, "a": 1.75, "c": 0.04, "classic": False},
+        "generator": {"N": 10000, "steps": 100, "a": 1.75, "c": 0.04},
         "components": (1,),
         # structured subpopulations dominate this data; the optimized-null-SD
         # route is the scoring regime built for that case
         "selection_mode": "td",
     },
+}
+
+# The values a string field may take; the flags offer the same.
+CHOICES = {
+    "solver": ("hooi", "btud", "hooi-then-check"),
+    "component_rule": ("fixed", "by-core"),
+    "selection_mode": ("btud", "td"),
 }
 
 
@@ -67,26 +84,36 @@ class ExperimentConfig:
     experiment: str = "custom"
     generator: dict = field(default_factory=dict)
     ranks: tuple = (1, 1, 1)
-    solver: str = "hooi-then-check"   # hooi | btud | hooi-then-check
+    solver: str = "hooi-then-check"
     alpha: float = 0.0
     max_iter: int = 500
     tol: float = 1e-8
     factor_tol: float | None = None   # extra HOOI stop criterion (see PRESETS note)
     components: tuple = (1,)
-    component_rule: str = "fixed"     # fixed | by-core
+    component_rule: str = "fixed"
     fixed_l2: tuple = ()              # by-core: mode-2 indices to scan (empty = all)
     fixed_l3: tuple = ()
     n_components: int = 1             # by-core: how many leading components to keep
     threshold: float = 0.05
-    selection_mode: str = "btud"      # btud | td (matrix route)
+    selection_mode: str = "btud"      # matrix data only
     ensembles: int = 1
     seed: int = 0
 
     def validate(self) -> None:
-        if self.experiment not in PRESETS and self.experiment != "custom":
+        """Check every field and generator key; a ValueError names the first bad one."""
+        if self.experiment not in EXPERIMENTS and self.experiment != "custom":
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.solver not in ("hooi", "btud", "hooi-then-check"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
+        params = EXPERIMENTS.get(self.experiment)
+        keys = {f.name: f.type for f in dataclasses.fields(params)} if params else {}
+        for key, value in self.generator.items():
+            if key not in keys or key == "seed":
+                raise ValueError(f"unknown generator key {key!r} for experiment {self.experiment}")
+            _check_type(f"generator.{key}", value, keys[key])
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if not 0 < self.threshold < 1:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.ensembles < 1:
@@ -98,42 +125,58 @@ class ExperimentConfig:
                     raise ValueError(
                         f"experiment {self.experiment}: rank {r} of mode {m} exceeds cap {cap}"
                     )
-            if max(self.components) > caps[0]:
+            if max(self.components, default=0) > caps[0]:
                 raise ValueError(
                     f"experiment {self.experiment}: component {max(self.components)} "
                     f"exceeds cap {caps[0]}"
                 )
 
 
-def build_config(experiment: str, config_path=None, overrides: dict | None = None) -> ExperimentConfig:
-    cfg = ExperimentConfig(experiment=experiment)
-    preset = PRESETS.get(experiment)
-    if preset:
-        cfg.generator = dict(preset["generator"])
-        cfg.ranks = tuple(preset.get("ranks", cfg.ranks))
-        cfg.components = tuple(preset["components"])
-        cfg.max_iter = preset.get("max_iter", cfg.max_iter)
-        cfg.factor_tol = preset.get("factor_tol", cfg.factor_tol)
-        cfg.selection_mode = preset.get("selection_mode", cfg.selection_mode)
-    if config_path:
-        with open(config_path) as fh:
-            doc = json.load(fh)
-        for key, value in doc.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config field {key!r}")
-            if key == "generator":
-                cfg.generator.update(value)
-            elif key in ("ranks", "components", "fixed_l2", "fixed_l3"):
-                setattr(cfg, key, tuple(value))
-            else:
-                setattr(cfg, key, value)
-    for key, value in (overrides or {}).items():
+def _check_type(name: str, value, annotation: str) -> None:
+    """Raise ValueError unless value fits the field's annotation (a bool is not a number)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {
+        "int": number and isinstance(value, int),
+        "float": number,
+        "float | None": number or value is None,
+        "tuple": isinstance(value, tuple)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value),
+        "str": isinstance(value, str),
+        "dict": isinstance(value, dict),
+    }[annotation]
+    if not ok:
+        raise ValueError(f"config field {name!r} must be of type {annotation}, got {value!r}")
+
+
+def _apply(cfg: ExperimentConfig, doc) -> None:
+    """Apply a preset, a config file or the flags to cfg; None means "not given"."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
+    fields = {f.name for f in dataclasses.fields(cfg)}
+    for key, value in doc.items():
+        if key == "experiment":
+            raise ValueError("config field 'experiment' is chosen by --experiment only")
+        if key not in fields:
+            raise ValueError(f"unknown config field {key!r}")
         if value is None:
             continue
-        if key == "generator":
-            cfg.generator.update(value)
-        else:
-            setattr(cfg, key, value)
+        if key == "generator" and isinstance(value, dict):
+            value = {**cfg.generator, **value}
+        elif isinstance(value, list):
+            value = tuple(value)
+        setattr(cfg, key, value)
+
+
+def build_config(experiment: str, config_path=None, overrides: dict | None = None) -> ExperimentConfig:
+    """The experiment's preset, then the config file, then overrides (the flags), validated."""
+    cfg = ExperimentConfig(experiment=experiment)
+    docs = [PRESETS.get(experiment, {})]
+    if config_path:
+        with open(config_path) as fh:
+            docs.append(json.load(fh))
+    docs.append(overrides or {})
+    for doc in docs:
+        _apply(cfg, doc)
     cfg.validate()
     return cfg
 
@@ -144,17 +187,16 @@ def build_config(experiment: str, config_path=None, overrides: dict | None = Non
 
 def generate_data(cfg: ExperimentConfig, seed: int):
     """Returns (kind, data, truth_or_None) for the configured experiment."""
-    g = dict(cfg.generator)
+    if cfg.experiment not in EXPERIMENTS:
+        raise ValueError("custom experiments need an explicit data file; nothing to generate")
+    params = EXPERIMENTS[cfg.experiment](seed=seed, **cfg.generator)
     if cfg.experiment == "synthetic-block":
-        t, truth = datagen.gen_synthetic_block(datagen.SyntheticBlockParams(seed=seed, **g))
+        t, truth = datagen.gen_synthetic_block(params)
         return "tensor", t, truth
     if cfg.experiment == "sinusoid":
-        x, truth = datagen.gen_sinusoid(datagen.SinusoidParams(seed=seed, **g))
+        x, truth = datagen.gen_sinusoid(params)
         return "matrix", x, truth
-    if cfg.experiment == "rcs-gcm":
-        x = datagen.simulate_rcs_gcm(datagen.GcmParams(seed=seed, **g))
-        return "matrix", x, None
-    raise ValueError("custom experiments need an explicit data file; nothing to generate")
+    return "matrix", datagen.simulate_rcs_gcm(params), None
 
 
 def decompose_tensor(t: tensor.Tensor3, cfg: ExperimentConfig):
@@ -180,17 +222,11 @@ def decompose_tensor(t: tensor.Tensor3, cfg: ExperimentConfig):
 def choose_components(cfg: ExperimentConfig, model: decomp.TuckerModel | None) -> tuple:
     if cfg.component_rule == "fixed":
         return tuple(cfg.components)
-    if cfg.component_rule == "by-core":
-        if model is None:
-            raise ValueError("by-core component choice needs a decomposed model")
-        fixed = {}
-        if cfg.fixed_l2:
-            fixed[2] = tuple(cfg.fixed_l2)
-        if cfg.fixed_l3:
-            fixed[3] = tuple(cfg.fixed_l3)
-        ranked = select.rank_components_by_core(model.core, fixed)
-        return tuple(comp for comp, _ in ranked[: cfg.n_components])
-    raise ValueError(f"unknown component rule {cfg.component_rule!r}")
+    if model is None:
+        raise ValueError("by-core component choice needs a decomposed model")
+    fixed = {mode: indices for mode, indices in ((2, cfg.fixed_l2), (3, cfg.fixed_l3)) if indices}
+    ranked = select.rank_components_by_core(model.core, fixed)
+    return tuple(comp for comp, _ in ranked[: cfg.n_components])
 
 
 def select_from_tensor(
@@ -448,21 +484,26 @@ def _int_tuple(text: str) -> tuple:
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
+# Flags that set the config field of the same name; None when not given.
+CONFIG_FLAGS = ("seed", "ranks", "solver", "alpha", "components", "threshold", "selection_mode",
+                "ensembles")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--experiment", default="custom",
-                        choices=[*PRESETS, "custom"], help="named experiment preset")
+                        choices=[*EXPERIMENTS, "custom"], help="named experiment preset")
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out-dir", default="runs", help="output directory")
     common.add_argument("--ranks", type=_int_tuple, default=None, help="L1,L2,L3")
-    common.add_argument("--solver", default=None, choices=["hooi", "btud", "hooi-then-check"])
+    common.add_argument("--solver", default=None, choices=CHOICES["solver"])
     common.add_argument("--alpha", type=float, default=None)
     common.add_argument("--components", type=_int_tuple, default=None, help="e.g. 1,2")
     common.add_argument("--threshold", type=float, default=None)
     common.add_argument("--selection-mode", dest="selection_mode", default=None,
-                        choices=["btud", "td"])
+                        choices=CHOICES["selection_mode"])
     common.add_argument("--ensembles", type=int, default=None)
 
     parser = argparse.ArgumentParser(prog="btucker", description=__doc__)
@@ -483,20 +524,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("seed", "ranks", "solver", "alpha", "components", "threshold",
-                    "selection_mode", "ensembles")
-        if getattr(args, key, None) is not None
-    }
-    return build_config(args.experiment, config_path=args.config, overrides=overrides)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        flags = {key: getattr(args, key) for key in CONFIG_FLAGS}
+        cfg = build_config(args.experiment, config_path=args.config, overrides=flags)
         out_dir = Path(args.out_dir)
         if args.command == "generate":
             return cmd_generate(cfg, out_dir)

@@ -46,10 +46,8 @@ class SelectionResult:
 
 @dataclass(frozen=True)
 class SigmaFit:
-    sigma: np.ndarray          # per-component null SD (shared value by default)
+    sigma: np.ndarray          # the shared null SD, one entry per component
     sigma_h: float             # achieved histogram-occupancy SD
-    bins: int
-    exclusion_threshold: float
 
 
 def chi2_sf(x, dof: int):
@@ -115,13 +113,6 @@ def btud_statistic(
     return np.sum(means[comps - 1] ** 2 / var[:, None], axis=0)
 
 
-def btud_pvalues(
-    means: np.ndarray, cov: np.ndarray, components, calibrate: bool = False
-) -> np.ndarray:
-    comps = _component_indices(components, np.asarray(means).shape[0])
-    return chi2_sf(btud_statistic(means, cov, components, calibrate=calibrate), dof=comps.size)
-
-
 def td_statistic(u: np.ndarray, sigma, components) -> np.ndarray:
     """Per-feature sum of squared loadings over the null SD, per component."""
     u = np.asarray(u, dtype=np.float64)
@@ -137,39 +128,18 @@ def td_pvalues(u: np.ndarray, sigma, components) -> np.ndarray:
     return chi2_sf(td_statistic(u, sigma, components), dof=comps.size)
 
 
-def optimize_sigma(
-    u: np.ndarray,
-    components,
-    bins: int = DEFAULT_BINS,
-    exclusion_threshold: float = DEFAULT_EXCLUSION_THRESHOLD,
-    shared: bool = True,
-) -> SigmaFit:
-    """Pick the null SD that flattens the histogram of 1 - P over null features.
+def optimize_sigma(u: np.ndarray, components) -> SigmaFit:
+    """Pick the one null SD, shared by the components, that flattens the histogram of 1 - P.
 
     Candidates are scanned on a log grid around the pooled sample SD of the
     selected components' loadings.  For each candidate, features with
-    BH-adjusted P at or below `exclusion_threshold` are dropped, the rest of
-    the 1 - P values are histogrammed into `bins` equal-width cells on [0, 1],
-    and the SD of the occupancies is the objective.  Ties go to the smaller
-    candidate.  With shared=False each component is optimized independently
-    against its own single-component objective.
+    BH-adjusted P at or below DEFAULT_EXCLUSION_THRESHOLD are dropped, the
+    rest of the 1 - P values are histogrammed into DEFAULT_BINS equal-width
+    cells on [0, 1], and the SD of the occupancies is the objective.  Ties go
+    to the smaller candidate.
     """
     u = np.asarray(u, dtype=np.float64)
     comps = _component_indices(components, u.shape[0])
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if not shared and comps.size > 1:
-        fits = [
-            optimize_sigma(u, [c], bins=bins, exclusion_threshold=exclusion_threshold)
-            for c in comps
-        ]
-        return SigmaFit(
-            sigma=np.array([f.sigma[0] for f in fits]),
-            sigma_h=float(np.max([f.sigma_h for f in fits])),
-            bins=bins,
-            exclusion_threshold=exclusion_threshold,
-        )
-
     pooled = u[comps - 1].ravel()
     scale = float(np.std(pooled, ddof=1)) if pooled.size > 1 else float(np.abs(pooled[0]))
     if not np.isfinite(scale) or scale <= 0:
@@ -180,22 +150,17 @@ def optimize_sigma(
     best_obj = np.inf
     for cand in grid:
         p = td_pvalues(u, cand, comps)
-        keep = bh_adjust(p) > exclusion_threshold
+        keep = bh_adjust(p) > DEFAULT_EXCLUSION_THRESHOLD
         if not np.any(keep):
             continue
-        h, _ = np.histogram(1.0 - p[keep], bins=bins, range=(0.0, 1.0))
+        h, _ = np.histogram(1.0 - p[keep], bins=DEFAULT_BINS, range=(0.0, 1.0))
         obj = float(np.sqrt(np.mean((h - h.mean()) ** 2)))
         if obj < best_obj:  # strict: ties keep the earlier (smaller) candidate
             best_obj = obj
             best_sigma = float(cand)
     if best_sigma is None:
         raise SigmaOptimizationError("every candidate SD excluded all features")
-    return SigmaFit(
-        sigma=np.full(comps.size, best_sigma),
-        sigma_h=best_obj,
-        bins=bins,
-        exclusion_threshold=exclusion_threshold,
-    )
+    return SigmaFit(sigma=np.full(comps.size, best_sigma), sigma_h=best_obj)
 
 
 def rank_components_by_core(core: np.ndarray, fixed: dict) -> list[tuple[int, float]]:
@@ -276,12 +241,7 @@ def scored_matrix(x: np.ndarray, mode: str) -> np.ndarray:
 
 
 def svd_select(
-    x: np.ndarray,
-    components,
-    mode: str = "btud",
-    threshold: float = DEFAULT_THRESHOLD,
-    bins: int = DEFAULT_BINS,
-    exclusion_threshold: float = DEFAULT_EXCLUSION_THRESHOLD,
+    x: np.ndarray, components, mode: str = "btud", threshold: float = DEFAULT_THRESHOLD
 ) -> SelectionResult:
     """Feature selection for matrix data (features are rows) through the SVD.
 
@@ -305,9 +265,7 @@ def svd_select(
 
     if mode == "td":
         u_feat = res.U.T  # rows are components, columns are features
-        fit = optimize_sigma(
-            u_feat, comps, bins=bins, exclusion_threshold=exclusion_threshold
-        )
+        fit = optimize_sigma(u_feat, comps)
         stat = td_statistic(u_feat, fit.sigma, comps)
     else:
         phi = res.V[:, comps - 1] * res.s[comps - 1]  # columns: singular value * right vector

@@ -18,6 +18,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,19 +125,27 @@ def write_tensor(t: Tensor3, path) -> None:
         _write_values(fh, t.values.ravel(order="F"))
 
 
-def read_tensor(path) -> Tensor3:
+def _read_text(path, tag: str, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Header dims and flat values of a `tag` file; FileFormatError on any defect."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "T3":
-            raise FileFormatError(f"not a T3 tensor file: {path}")
+        if len(header) != ndim + 1 or header[0] != tag:
+            raise FileFormatError(f"not a {tag} file: {path}")
         try:
-            n, m, k = (int(x) for x in header[1:])
+            dims = tuple(int(x) for x in header[1:])
             flat = np.array(fh.read().split(), dtype=np.float64)
         except ValueError as exc:
-            raise FileFormatError(f"unparsable tensor data in {path}: {exc}") from exc
-    if flat.size != n * m * k:
-        raise FileFormatError(f"expected {n * m * k} values, found {flat.size} in {path}")
-    return Tensor3(flat.reshape((n, m, k), order="F"))
+            raise FileFormatError(f"unparsable {tag} data in {path}: {exc}") from exc
+    if min(dims) < 1 or flat.size != math.prod(dims):
+        raise FileFormatError(f"bad header {tag} {dims} for {flat.size} values in {path}")
+    if not np.all(np.isfinite(flat)):
+        raise FileFormatError(f"non-finite entries in {path}")
+    return dims, flat
+
+
+def read_tensor(path) -> Tensor3:
+    dims, flat = _read_text(path, "T3", 3)
+    return Tensor3(flat.reshape(dims, order="F"))
 
 
 def write_matrix(a: np.ndarray, path) -> None:
@@ -149,20 +158,8 @@ def write_matrix(a: np.ndarray, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "M2":
-            raise FileFormatError(f"not an M2 matrix file: {path}")
-        try:
-            rows, cols = int(header[1]), int(header[2])
-            flat = np.array(fh.read().split(), dtype=np.float64)
-        except ValueError as exc:
-            raise FileFormatError(f"unparsable matrix data in {path}: {exc}") from exc
-    if flat.size != rows * cols:
-        raise FileFormatError(f"expected {rows * cols} values, found {flat.size} in {path}")
-    if not np.all(np.isfinite(flat)):
-        raise FileFormatError(f"non-finite entries in {path}")
-    return flat.reshape(rows, cols)
+    dims, flat = _read_text(path, "M2", 2)
+    return flat.reshape(dims)
 
 
 def data_kind(path) -> str:

@@ -12,6 +12,7 @@ from btucker.cli import (
     confusion_counts,
     main,
     run_member,
+    select_from_tensor,
 )
 from btucker.errors import FileFormatError
 
@@ -65,6 +66,26 @@ class TestConfig:
         path.write_text('{"no_such_field": 1}')
         with pytest.raises(ValueError):
             build_config("synthetic-block", config_path=path)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"generator": {"NN": 5}}, "NN"),
+        ({"generator": {"seed": 3}}, "seed"),
+        ({"generator": {"N": 80.0}}, "generator.N"),
+        ({"threshold": "0.1"}, "threshold"),
+        ({"alpha": True}, "alpha"),
+        ({"ranks": 5}, "ranks"),
+        ({"components": [1.5]}, "components"),
+        ({"experiment": "sinusoid"}, "experiment"),
+    ], ids=["unknown-key", "seed-key", "float-for-int", "string-for-float", "bool-for-float",
+            "int-for-tuple", "float-in-tuple", "experiment"])
+    def test_config_mistake_exits_1_naming_the_field(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["generate", "--experiment", "synthetic-block", "--config", str(path),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
 
 
 class TestGenerate:
@@ -126,6 +147,17 @@ class TestDecompose:
         code = main(["decompose", "--experiment", "custom", "--ranks", "2,2,2",
                      "--data", str(bad), "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("header", ["T3 1 2 2", "M2 2 2"])
+    def test_non_finite_file_exit_2(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n1 nan 2 3\n")
+        command = "decompose" if header.startswith("T3") else "select"
+        code = main([command, "--experiment", "custom", "--ranks", "1,1,1",
+                     "--data", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: non-finite entries in {path}\n"
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["decompose", "--experiment", "custom", "--ranks", "2,2,2",
@@ -192,6 +224,28 @@ class TestSelect:
         tn, fn, fp, tp = confusion_counts(res.selected, truth)
         assert tp >= 5  # strong planted block: most of the 6 rows recovered
         assert fp <= 2
+
+    def test_by_core_rule(self, tmp_path):
+        by_core = {**SMALL_BLOCK, "component_rule": "by-core", "fixed_l2": [1], "fixed_l3": [1],
+                   "n_components": 2}
+        path = tmp_path / "by-core.json"
+        path.write_text(json.dumps(by_core))
+        out = tmp_path / "run"
+        data = str(out / "data.txt")
+        for command in (["generate"], ["decompose", "--data", data],
+                        ["select", "--data", data, "--model", str(out / "model.json")]):
+            assert main([command[0], "--experiment", "synthetic-block", "--config", str(path),
+                         "--out-dir", str(out), *command[1:]]) == 0
+        model, meta = decomp.load_model(out / "model.json")
+        ranked = select.rank_components_by_core(model.core, {2: (1,), 3: (1,)})
+        components = tuple(comp for comp, _ in ranked[:2])
+        assert components == (1, 3)
+        fixed = build_config("synthetic-block", overrides={**SMALL_BLOCK, "components": components})
+        expected = select_from_tensor(tensor.read_tensor(data), model, fixed, beta=meta["beta"])
+        written = select.read_selection_csv(out / "selection.csv")
+        assert written.n_selected > 0
+        for name in ("statistic", "p_raw", "p_adjusted", "selected"):
+            assert np.array_equal(getattr(written, name), getattr(expected, name))
 
     def test_tensor_needs_model(self, tmp_path, small_config):
         out = tmp_path / "run"

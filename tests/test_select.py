@@ -5,8 +5,8 @@ from scipy.integrate import quad
 from btucker import linalg
 from btucker.errors import DegenerateVarianceError, SigmaOptimizationError
 from btucker.select import (
+    DEFAULT_BINS,
     bh_adjust,
-    btud_pvalues,
     btud_statistic,
     chi2_sf,
     optimize_sigma,
@@ -104,27 +104,27 @@ class TestBtudPvalues:
     def test_zero_mean_gives_one(self):
         means = np.zeros((2, 4))
         cov = np.eye(2)
-        p = btud_pvalues(means, cov, [1, 2])
+        p = chi2_sf(btud_statistic(means, cov, [1, 2]), 2)
         assert np.allclose(p, 1.0)
 
     def test_single_component_closed_form(self):
         means = np.array([[2.0]])
         cov = np.array([[1.0]])
-        p = btud_pvalues(means, cov, [1])
+        p = chi2_sf(btud_statistic(means, cov, [1]), 1)
         assert abs(p[0] - chi2_sf(4.0, 1)) < 1e-14
         assert abs(p[0] - 0.0455) < 5e-4
 
     def test_two_components_closed_form(self):
         means = np.array([[1.0], [1.0]])
         cov = np.eye(2)
-        p = btud_pvalues(means, cov, [1, 2])
+        p = chi2_sf(btud_statistic(means, cov, [1, 2]), 2)
         assert abs(p[0] - np.exp(-1.0)) < 1e-12
 
     def test_degenerate_variance(self):
         means = np.ones((2, 3))
         cov = np.diag([1.0, 0.0])
         with pytest.raises(DegenerateVarianceError) as err:
-            btud_pvalues(means, cov, [1, 2])
+            btud_statistic(means, cov, [1, 2])
         assert err.value.component == 2
 
     def test_calibrated_widens_variance(self):
@@ -148,9 +148,9 @@ class TestBtudPvalues:
 
     def test_component_validation(self):
         with pytest.raises(ValueError):
-            btud_pvalues(np.ones((2, 3)), np.eye(2), [])
+            btud_statistic(np.ones((2, 3)), np.eye(2), [])
         with pytest.raises(ValueError):
-            btud_pvalues(np.ones((2, 3)), np.eye(2), [3])
+            btud_statistic(np.ones((2, 3)), np.eye(2), [3])
 
 
 class TestTdPvalues:
@@ -192,7 +192,7 @@ class TestOptimizeSigma:
         step = 25.0 ** (1.0 / 100.0)
         assert 1.0 / step**1.5 <= fit.sigma[0] <= step**1.5
         n_prime = u.shape[1]
-        assert fit.sigma_h <= 2.0 * np.sqrt(n_prime / fit.bins)
+        assert fit.sigma_h <= 2.0 * np.sqrt(n_prime / DEFAULT_BINS)
 
     def test_constant_input_fails(self):
         u = np.ones((1, 100))
@@ -208,17 +208,6 @@ class TestOptimizeSigma:
         ratio = f2.sigma[0] / f1.sigma[0]
         step = 25.0 ** (1.0 / 100.0)
         assert 3.0 / step**1.01 <= ratio <= 3.0 * step**1.01
-
-    def test_per_component_mode(self):
-        rng = np.random.default_rng(58)
-        u = np.vstack([rng.normal(size=2000), 5.0 * rng.normal(size=2000)])
-        fit = optimize_sigma(u, [1, 2], shared=False)
-        assert fit.sigma.shape == (2,)
-        assert fit.sigma[1] > 2.0 * fit.sigma[0]
-
-    def test_bins_validation(self):
-        with pytest.raises(ValueError):
-            optimize_sigma(np.random.default_rng(0).normal(size=(1, 10)), [1], bins=1)
 
 
 class TestRankComponents:
