@@ -343,7 +343,8 @@ def cmd_decompose(data_path: Path, cfg: ExperimentConfig, out_dir: Path) -> int:
         fh.write("\n")
     print(
         f"solver {cfg.solver} sweeps {report.sweeps} converged {report.converged} "
-        f"stop {report.stop_reason} self_consistent {report.self_consistent}"
+        f"stop {report.stop_reason} factor_change {report.final_factor_change} "
+        f"self_consistent {report.self_consistent}"
     )
     return EXIT_OK
 
@@ -489,6 +490,13 @@ CONFIG_FLAGS = ("seed", "ranks", "solver", "alpha", "components", "threshold", "
                 "ensembles")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit with EXIT_USAGE (its own 2 is this CLI's I/O code)."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--experiment", default="custom",
@@ -506,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=CHOICES["selection_mode"])
     common.add_argument("--ensembles", type=int, default=None)
 
-    parser = argparse.ArgumentParser(prog="btucker", description=__doc__)
+    parser = _Parser(prog="btucker", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", parents=[common])
     p = sub.add_parser("decompose", parents=[common])

@@ -38,6 +38,7 @@ from .tensor import Tensor3, frobenius_norm, reconstruct, unfold
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
 BETA_CAP = 1e12            # reported noise precision for an exactly zero residual
+NOISE_FLOOR = 1e-10        # squared singular values below this times the largest are noise
 
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-8
@@ -118,6 +119,9 @@ class FitReport:
     entrywise factor change fell below its bound as well) or "max_iter" (the
     sweep budget ran out, converged is False).  extrapolations_accepted and
     extrapolations_rejected count :func:`hooi`'s Anderson steps.
+    final_factor_change is the last largest entrywise factor change the
+    solver measured, None if it measured none (:func:`hooi` measures it only
+    once the residual criterion holds, and only with `factor_tol`).
     self_consistent / max_mode_deviation stay None ("not checked") except on
     paths that run the posterior-mean comparison.
     """
@@ -128,11 +132,12 @@ class FitReport:
     stop_reason: str
     extrapolations_accepted: int = 0
     extrapolations_rejected: int = 0
+    final_factor_change: float | None = None
     self_consistent: bool | None = None
     max_mode_deviation: float | None = None
 
     def to_dict(self) -> dict:
-        deviation = self.max_mode_deviation
+        change, deviation = self.final_factor_change, self.max_mode_deviation
         return {
             "sweeps": self.sweeps,
             "residual_history": [float(x) for x in self.residual_history],
@@ -140,6 +145,7 @@ class FitReport:
             "stop_reason": self.stop_reason,
             "extrapolations_accepted": self.extrapolations_accepted,
             "extrapolations_rejected": self.extrapolations_rejected,
+            "final_factor_change": None if change is None else float(change),
             "self_consistent": self.self_consistent,
             "max_mode_deviation": None if deviation is None else float(deviation),
         }
@@ -185,9 +191,11 @@ class _ContractionKernel:
 
     contracted(u1, u2, u3, m) is Y(m): the (N, M, K) array contracted with
     the factors of its axes q, then p (u_m is ignored), as two matrix
-    products on a contiguous permuted copy made on first use of the mode.
-    Columns run over (q, p), p fastest, as in :func:`_core_unfolding`; the
-    left singular vectors HOOI takes do not depend on the column order.
+    products on a contiguous permuted copy made on first use of the mode
+    (the first one wide, u_q times the transposed copy, which BLAS runs
+    faster than the same product taken tall).  Columns run over (q, p), p
+    fastest, as in :func:`_core_unfolding`; the left singular vectors HOOI
+    takes do not depend on the column order.
     """
 
     def __init__(self, v: np.ndarray):
@@ -201,9 +209,8 @@ class _ContractionKernel:
             x = self._copies[mode] = np.ascontiguousarray(self.values.transpose(axes))
         factors = (u1, u2, u3)
         d, dp, dq = x.shape
-        y = (x.reshape(d * dp, dq) @ factors[q].T).reshape(d, dp, -1)
-        y = np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(-1, dp)
-        return (y @ factors[p].T).reshape(d, -1)
+        y = (factors[q] @ x.reshape(d * dp, dq).T).reshape(-1, dp) @ factors[p].T
+        return y.reshape(-1, d, y.shape[1]).transpose(1, 0, 2).reshape(d, -1)
 
 
 def _core_unfolding(core: np.ndarray, mode: int) -> np.ndarray:
@@ -241,20 +248,26 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
 
     Eigendecomposes the smaller Gram matrix, b b^T when b is wide and b^T b
     (mapped back through b) when it is tall, as long as the kept spectrum is
-    well away from the squared-condition noise floor; falls back to the full
-    SVD otherwise.
+    well away from the squared-condition noise floor; falls back to the SVD
+    otherwise.  There, the vectors of squared singular values below the same
+    floor are rounding noise, so they are replaced by the identity's first
+    columns orthonormalized against the others: the result then moves
+    continuously with b instead of jumping with its last bits.
     """
     wide = b.shape[0] <= b.shape[1]
     vals, vecs = np.linalg.eigh(b @ b.T if wide else b.T @ b)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    if vals[0] > 0 and vals[rank - 1] > 1e-10 * vals[0]:
+    if vals[0] > 0 and vals[rank - 1] > NOISE_FLOOR * vals[0]:
         if wide:
             u = vecs[:, :rank].T
         else:
             u = (b @ vecs[:, :rank]).T / np.sqrt(vals[:rank])[:, None]
-        return u * _sign_flips(u)[:, None]
-    return linalg.svd(b, rank=rank).U.T
+    else:
+        res = linalg.svd(b, rank=rank)
+        kept = res.U[:, res.s**2 > NOISE_FLOOR * res.s[0] ** 2]
+        u = np.linalg.qr(np.hstack((kept, np.eye(b.shape[0], rank))))[0][:, :rank].T
+    return u * _sign_flips(u)[:, None]
 
 
 def _top_eigenvectors(p: np.ndarray, rank: int) -> np.ndarray:
@@ -284,7 +297,7 @@ def _anderson(pairs) -> np.ndarray:
 def hosvd_init(t: Tensor3, ranks) -> TuckerModel:
     """Truncated HOSVD: factor m = leading left singular vectors of unfold(t, m)."""
     ranks = _validate_ranks(t.dims, ranks)
-    factors = [linalg.svd(unfold(t, m), rank=ranks[m - 1]).U.T for m in (1, 2, 3)]
+    factors = [_top_left_vectors(unfold(t, m), ranks[m - 1]) for m in (1, 2, 3)]
     core = core_regression(t, *factors)
     return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
 
@@ -307,11 +320,17 @@ def hooi(
     rotating long after the residual has flattened (the regression
     fixed point is only reached once the factors themselves stop moving).
 
-    Two exact shortcuts make each sweep cheaper.  The sweeps run on R from
-    one reduced QR, unfold(t, 1) = Q R, so mode 1 has min(N, M*K) rows; the
-    contractions, core and residual are those of t, and the mode-1 factor
-    lifts back as U1 = V1 Q^T.  Top vectors come from the smaller Gram
-    matrix.
+    Each sweep contracts the data once.  The sweeps run on R from one QR,
+    unfold(t, 1) = Q R, of which only R is formed, so mode 1 has
+    min(N, M*K) rows; the contractions, core and residual are those of t.
+    Mode 1 contracts R with the mode-2/3 factors W; the new mode-1 factor V1
+    then gives Z = V1 unfold(R, 1), an (L1, M, K) tensor from which modes 2
+    and 3 and the projected core follow.  Top vectors come from the smaller
+    Gram matrix.  The returned U1 is computed once from the data, as the top
+    left singular vectors of unfold(t, 1) W for the W that V1 came from:
+    that matrix is Q R W, so this is V1 Q^T without Q.  The factor_tol test
+    of U1 takes the same lift, and the returned core is recomputed from the
+    returned factors.
 
     Once the residual criterion holds but the factors still move, the slow
     linear tail is extrapolated.  With the last ANDERSON_WINDOW + 1 kept
@@ -330,51 +349,55 @@ def hooi(
         raise ValueError(f"tol must be positive, got {tol}")
 
     n, m, k = t.dims
+    l1, l2, l3 = ranks
     norm_x = frobenius_norm(t)
     scale = norm_x if norm_x > 0 else 1.0
     norm_x_sq = norm_x * norm_x
-    q, r = np.linalg.qr(t.values.reshape(n, m * k))
+    r = np.linalg.qr(t.values.reshape(n, m * k), mode="r")
     compressed = r.reshape(-1, m, k)
     model = hosvd_init(Tensor3(compressed), ranks)
+    data = _ContractionKernel(t.values)
 
-    def lift(v1) -> tuple[np.ndarray, np.ndarray]:
-        """Mode-1 factor in the coordinates of t with the sign rule, and its row flips."""
-        u1 = v1 @ q.T
-        flips = _sign_flips(u1)
-        return u1 * flips[:, None], flips
+    def lift(w2, w3) -> np.ndarray:
+        """U1 from the data: the top-l1 left singular vectors of X(1) W, W from w2 and w3."""
+        return _top_left_vectors(data.contracted(None, w2, w3, mode=1), l1)
 
     def residual(core_sq, core, v1, u2, u3) -> float:
-        # orthonormal factors + projected core: ||resid||^2 = ||x||^2 - ||core||^2;
+        # orthonormal factors + projected core (axes 3, 1, 2): ||resid||^2 = ||x||^2 - ||core||^2;
         # recompute explicitly when cancellation would dominate
         r2 = norm_x_sq - core_sq
         if not np.isfinite(r2):
             raise FloatingPointError("non-finite values during HOOI iteration")
         if r2 > (1e-6 * scale) ** 2:
             return float(np.sqrt(r2))
-        approx = np.einsum("abc,ai,bj,ck->ijk", core, v1, u2, u3, optimize=True)
+        approx = np.einsum("cab,ai,bj,ck->ijk", core, v1, u2, u3, optimize=True)
         err = float(np.linalg.norm((compressed - approx).ravel()))
         if not np.isfinite(err):
             raise FloatingPointError("non-finite values during HOOI iteration")
         return err
 
-    l1, l2, l3 = ranks
-    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core
+    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core.transpose(2, 0, 1)
     core_sq = float(np.sum(core * core))
     history = [residual(core_sq, core, v1, u2, u3)]
     work = _ContractionKernel(compressed)
+    eye = np.eye(l1)  # Z already carries the mode-1 factor
+    # the W that v1 came from: the HOSVD start's is the identity
+    w = (np.eye(m), np.eye(k))
     pairs: deque = deque(maxlen=ANDERSON_WINDOW + 1)
     accelerating = extrapolated = False
     in2, in3 = u2, u3  # mode-2/3 factors the next sweep starts from
     sweeps = accepted = rejected = 0
+    moved = None
     stop_reason = "max_iter"
     for _ in range(max_iter):
         s1 = _top_left_vectors(work.contracted(v1, in2, in3, mode=1), l1)
-        s2 = _top_left_vectors(work.contracted(s1, in2, in3, mode=2), l2)
-        contracted3 = work.contracted(s1, s2, in3, mode=3)
+        z = _ContractionKernel((s1 @ r).reshape(l1, m, k))
+        s2 = _top_left_vectors(z.contracted(eye, in2, in3, mode=2), l2)
+        contracted3 = z.contracted(eye, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
-        # projected core, reusing the mode-3 contraction
-        s_core = _fold_core(s3 @ contracted3, 3, ranks)
-        s_core_sq = float(np.sum(s_core * s_core))
+        # projected core from the mode-3 contraction, kept unfolded: (L3, L1, L2)
+        s_core = (s3 @ contracted3).reshape(l3, l1, l2)
+        s_core_sq = float(np.vdot(s_core, s_core))
         sweeps += 1
         if extrapolated and s_core_sq < core_sq:
             # the extrapolation lost fit: drop it with its history, resume plainly
@@ -383,8 +406,8 @@ def hooi(
             in2, in3, extrapolated = u2, u3, False
             continue
         accepted += extrapolated
-        previous = (v1, u2, u3)
-        v1, u2, u3, core, core_sq = s1, s2, s3, s_core, s_core_sq
+        previous = (w, u2, u3)
+        v1, w, u2, u3, core, core_sq = s1, (in2, in3), s2, s3, s_core, s_core_sq
         history.append(residual(core_sq, core, v1, u2, u3))
         if not extrapolated and abs(history[-2] - history[-1]) / scale < tol:
             if factor_tol is None:
@@ -393,7 +416,7 @@ def hooi(
             moved = max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), previous[1:]))
             if moved < factor_tol:
                 # U1 leaves the compressed coordinates only once U2 and U3 pass
-                moved = float(np.max(np.abs(lift(v1)[0] - lift(previous[0])[0])))
+                moved = max(moved, float(np.max(np.abs(lift(*w) - lift(*previous[0])))))
             if moved < factor_tol:
                 stop_reason = "factor_tol"
                 break
@@ -408,8 +431,9 @@ def hooi(
                 continue
         in2, in3, extrapolated = u2, u3, False
 
-    u1, flips = lift(v1)
-    model = TuckerModel(core=core * flips[:, None, None], u1=u1, u2=u2, u3=u3)
+    u1 = lift(*w)
+    core = _fold_core(u1 @ data.contracted(u1, u2, u3, mode=1), 1, ranks)
+    model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)
     report = FitReport(
         sweeps=sweeps,
         residual_history=np.array(history),
@@ -417,6 +441,7 @@ def hooi(
         stop_reason=stop_reason,
         extrapolations_accepted=accepted,
         extrapolations_rejected=rejected,
+        final_factor_change=moved,
     )
     return model, report
 
@@ -580,7 +605,8 @@ def btud_fit(
                 core = _fold_core(_core_factor(u) @ y_core, mode, core.shape)
         norm, beta = residual()
         history.append(norm)
-        converged = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before)) < tol
+        moved = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
+        converged = moved < tol
         if converged:
             break
 
@@ -592,6 +618,7 @@ def btud_fit(
         residual_history=np.array(history),
         converged=converged,
         stop_reason="factor_tol" if converged else "max_iter",
+        final_factor_change=moved,
         self_consistent=check.self_consistent,
         max_mode_deviation=check.max_mode_deviation,
     )

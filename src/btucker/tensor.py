@@ -125,17 +125,25 @@ def write_tensor(t: Tensor3, path) -> None:
         _write_values(fh, t.values.ravel(order="F"))
 
 
+def _read_utf8(path, body: bool) -> tuple[list[str], str]:
+    """Header tokens and, if `body`, the rest of a text file; FileFormatError unless it is UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readline().split(), fh.read() if body else ""
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8 text: {path}: {exc}") from exc
+
+
 def _read_text(path, tag: str, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Header dims and flat values of a `tag` file; FileFormatError on any defect."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != ndim + 1 or header[0] != tag:
-            raise FileFormatError(f"not a {tag} file: {path}")
-        try:
-            dims = tuple(int(x) for x in header[1:])
-            flat = np.array(fh.read().split(), dtype=np.float64)
-        except ValueError as exc:
-            raise FileFormatError(f"unparsable {tag} data in {path}: {exc}") from exc
+    header, body = _read_utf8(path, body=True)
+    if len(header) != ndim + 1 or header[0] != tag:
+        raise FileFormatError(f"not a {tag} file: {path}")
+    try:
+        dims = tuple(int(x) for x in header[1:])
+        flat = np.array(body.split(), dtype=np.float64)
+    except ValueError as exc:
+        raise FileFormatError(f"unparsable {tag} data in {path}: {exc}") from exc
     if min(dims) < 1 or flat.size != math.prod(dims):
         raise FileFormatError(f"bad header {tag} {dims} for {flat.size} values in {path}")
     if not np.all(np.isfinite(flat)):
@@ -164,8 +172,7 @@ def read_matrix(path) -> np.ndarray:
 
 def data_kind(path) -> str:
     """Peek at a data file header; returns "tensor" or "matrix"."""
-    with open(path) as fh:
-        tag = fh.readline().split()
+    tag, _ = _read_utf8(path, body=False)
     if tag and tag[0] == "T3":
         return "tensor"
     if tag and tag[0] == "M2":

@@ -10,6 +10,7 @@ from btucker.cli import (
     ConfusionReport,
     build_config,
     confusion_counts,
+    decompose_tensor,
     main,
     run_member,
     select_from_tensor,
@@ -158,6 +159,34 @@ class TestDecompose:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: non-finite entries in {path}\n"
+
+    @pytest.mark.parametrize("command", ["select", "decompose"])
+    def test_not_utf8_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+        code = main([command, "--experiment", "custom", "--data", str(path),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: not UTF-8 text: {path}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--solver", "nope"],
+        ["decompose"],
+        ["generate", "--seed", "x"],
+    ], ids=["invalid-choice", "missing-required", "non-integer"])
+    def test_usage_error_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("btucker ") and "error:" in err and err.count("\n") == 1
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: btucker")
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["decompose", "--experiment", "custom", "--ranks", "2,2,2",
@@ -466,3 +495,44 @@ class TestConfusionReport:
                               rows=[[1, 0, 1, 2], [1, 0, 0, 3]])
         doc = rep.to_dict()
         assert doc["tp"] == 2.5 and doc["ensembles"] == 2
+
+
+def tensor_pipeline(x, cfg):
+    t = tensor.Tensor3(x)
+    model, _, beta = decompose_tensor(t, cfg)
+    return select_from_tensor(t, model, cfg, beta=beta)
+
+
+@pytest.fixture(scope="module")
+def block_member():
+    """Synthetic-block seed 1001 with the preset, and its selection."""
+    cfg = build_config("synthetic-block")
+    t, _ = datagen.gen_synthetic_block(datagen.SyntheticBlockParams(seed=1001))
+    return cfg, t.values, tensor_pipeline(t.values, cfg)
+
+
+class TestMetamorphic:
+    """Changes of the data that the fitted subspaces, and so the selection, follow exactly."""
+
+    @pytest.mark.parametrize("change", ["scale", "rotate-mode-2", "permute-rows", "negate-slice"])
+    def test_selection_and_pvalues_unchanged(self, block_member, change):
+        cfg, x, base = block_member
+        rng = np.random.default_rng(54)
+        order = np.arange(x.shape[0])
+        if change == "scale":
+            y = 3.0 * x
+        elif change == "rotate-mode-2":
+            rotation = np.linalg.qr(rng.normal(size=(x.shape[1], x.shape[1])))[0]
+            y = np.einsum("ijk,lj->ilk", x, rotation)
+        elif change == "permute-rows":
+            order = rng.permutation(x.shape[0])
+            y = x[order]
+        else:
+            y = x.copy()
+            y[:, :, 3] *= -1.0
+        result = tensor_pipeline(y, cfg)
+        selected, p = np.empty_like(base.selected), np.empty_like(base.p_raw)
+        selected[order], p[order] = result.selected, result.p_raw
+        assert np.array_equal(selected, base.selected)
+        kept = base.p_raw > 1e-8
+        assert np.max(np.abs(np.log(p[kept]) - np.log(base.p_raw[kept]))) <= 1e-4

@@ -250,6 +250,20 @@ class TestHooi:
             assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(report.residual_history - history)) < 1e-12
 
+    @pytest.mark.parametrize("ranks", [(3, 2, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
+    def test_exactly_rank_deficient(self, dims, ranks):
+        # exact rank (2, 2, 2): at L1 = 3 one mode-1 direction has a zero singular
+        # value, and the factor_tol test must not see it move between sweeps
+        t = reconstruct(random_model(dims, (2, 2, 2), seed=53))
+        model, report = hooi(t, ranks, factor_tol=1e-9)
+        assert report.stop_reason == "factor_tol" and report.sweeps <= 3
+        assert report.residual_history[-1] <= 1e-12
+        for u in (model.u1, model.u2, model.u3):
+            assert np.max(np.abs(u @ u.T - np.eye(u.shape[0]))) <= 1e-12
+        core = core_regression(t, model.u1, model.u2, model.u3)
+        assert np.max(np.abs(model.core - core)) <= 1e-12
+
     def test_default_fit_stops_on_residual_without_extrapolating(self):
         t = random_tensor((10, 8, 6), seed=45)
         _, report = hooi(t, (3, 3, 3))
@@ -649,6 +663,16 @@ class TestModelSerialization:
         fit = doc["fit_report"]
         assert fit["self_consistent"] is None and fit["max_mode_deviation"] is None
         assert fit["stop_reason"] == report.stop_reason
+        # no factor change is measured on a residual stop without factor_tol
+        assert report.final_factor_change is None and fit["final_factor_change"] is None
+        _, measured = hooi(t, (2, 2, 2), factor_tol=1e-6)
+        _, _, refit = btud_fit(t, model, max_sweeps=3)
+        for fitted in (measured, refit):
+            save_model(model, path, report=fitted)
+            fit = json.loads(path.read_text(), parse_constant=reject_constant)["fit_report"]
+            assert fit["final_factor_change"] == fitted.final_factor_change
+            assert isinstance(fit["final_factor_change"], float)
+        assert measured.final_factor_change < 1e-6
         unfinite = FitReport(sweeps=0, residual_history=np.array([np.nan]),
                              converged=False, stop_reason="max_iter")
         with pytest.raises(ValueError):
