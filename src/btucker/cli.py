@@ -27,14 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, decomp, linalg, select, tensor
+from .decomp import SELF_CONSISTENCY_TOL
 from .errors import NumericalDegeneracyError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DEGENERATE = 3
-
-SELF_CONSISTENCY_TOL = 1e-6
 
 # The params class of each named experiment's generator; a config's generator
 # keys are its fields other than seed.
@@ -46,16 +45,12 @@ EXPERIMENTS = {
 
 # Named-experiment presets, applied like a config file: generator defaults,
 # ranks (also the rank caps of the experiment; an experiment without ranks has
-# no cap), component choice.  The synthetic-block preset iterates HOOI past
-# the residual plateau (factor_tol) so the factors reach the regression fixed
-# point that the self-consistency check certifies; see README for the rationale.
+# no cap), component choice.
 PRESETS = {
     "synthetic-block": {
         "generator": {"N": 1000, "M": 20, "K": 20, "N1": 10, "mu": 1.0},
         "ranks": (10, 5, 5),
         "components": (1,),
-        "max_iter": 20000,
-        "factor_tol": 1e-7,
     },
     "sinusoid": {
         "generator": {"N": 10000, "M": 100, "N1": 1000, "period": 3.0},
@@ -86,9 +81,9 @@ class ExperimentConfig:
     ranks: tuple = (1, 1, 1)
     solver: str = "hooi-then-check"
     alpha: float = 0.0
-    max_iter: int = 500
-    tol: float = 1e-8
-    factor_tol: float | None = None   # extra HOOI stop criterion (see PRESETS note)
+    max_iter: int = decomp.DEFAULT_MAX_ITER
+    tol: float = decomp.DEFAULT_TOL
+    factor_tol: float = decomp.DEFAULT_FACTOR_TOL
     components: tuple = (1,)
     component_rule: str = "fixed"
     fixed_l2: tuple = ()              # by-core: mode-2 indices to scan (empty = all)
@@ -138,7 +133,6 @@ def _check_type(name: str, value, annotation: str) -> None:
     ok = {
         "int": number and isinstance(value, int),
         "float": number,
-        "float | None": number or value is None,
         "tuple": isinstance(value, tuple)
         and all(isinstance(v, int) and not isinstance(v, bool) for v in value),
         "str": isinstance(value, str),

@@ -16,8 +16,8 @@ factors, orthonormal or not,
     Phi(m)^T X(m)^T = G(m) Y(m)^T,
     Phi(m)^T Phi(m) = G(m) (Ub Ub^T kron Uc Uc^T) G(m)^T,
 
-so the (M*K, L) design of :func:`design_matrix` (kept as the reference) is
-never formed and every regression is one L x L solve,
+so the (M*K, L) design Phi(m) is never formed (the tests keep it as the
+reference) and every regression is one L x L solve,
 pinv(gram + ridge*I) @ rhs, for alpha = 0 and alpha > 0 alike.  The
 posterior is S = pinv(alpha*I + beta*Phi^T Phi) with mean beta*S*Phi^T x.
 The pseudoinverse of the L x L Gram drops eigenvalues below 1e-12 * L times
@@ -40,8 +40,10 @@ ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pi
 BETA_CAP = 1e12            # reported noise precision for an exactly zero residual
 NOISE_FLOOR = 1e-10        # squared singular values below this times the largest are noise
 
-DEFAULT_MAX_ITER = 500
+DEFAULT_MAX_ITER = 20000
 DEFAULT_TOL = 1e-8
+DEFAULT_FACTOR_TOL = 1e-7
+SELF_CONSISTENCY_TOL = 1e-6  # largest factor or core deviation from the posterior mean
 ANDERSON_WINDOW = 5        # residual differences in hooi's Anderson extrapolation
 
 
@@ -114,14 +116,14 @@ class FitReport:
     sweeps counts every sweep computed, including :func:`hooi`'s rejected
     extrapolations.  residual_history[0] is the error of the initial model,
     and one entry follows per accepted sweep, so the history never rises.
-    stop_reason names the criterion that ended the run: "residual" (the
-    relative residual change fell below tol), "factor_tol" (the largest
-    entrywise factor change fell below its bound as well) or "max_iter" (the
-    sweep budget ran out, converged is False).  extrapolations_accepted and
-    extrapolations_rejected count :func:`hooi`'s Anderson steps.
+    stop_reason names the criterion that ended the run: "factor_tol" (the
+    largest entrywise factor change fell below its bound, for :func:`hooi`
+    once the relative residual change had fallen below tol) or "max_iter"
+    (the sweep budget ran out, converged is False).  extrapolations_accepted
+    and extrapolations_rejected count :func:`hooi`'s Anderson steps.
     final_factor_change is the last largest entrywise factor change the
     solver measured, None if it measured none (:func:`hooi` measures it only
-    once the residual criterion holds, and only with `factor_tol`).
+    once the residual criterion holds).
     self_consistent / max_mode_deviation stay None ("not checked") except on
     paths that run the posterior-mean comparison.
     """
@@ -237,12 +239,6 @@ def _core_factor(u: np.ndarray) -> np.ndarray:
     return u if defect <= ORTHONORMALITY_TOL else linalg.pseudoinverse(u).T
 
 
-def _sign_flips(rows: np.ndarray) -> np.ndarray:
-    """Global sign rule: -1 for each row whose largest-magnitude entry is negative, else 1."""
-    pivot = np.argmax(np.abs(rows), axis=1)
-    return np.where(rows[np.arange(rows.shape[0]), pivot] < 0, -1.0, 1.0)
-
-
 def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
     """Leading left singular vectors of b as rows, with the global sign rule.
 
@@ -267,13 +263,13 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
         res = linalg.svd(b, rank=rank)
         kept = res.U[:, res.s**2 > NOISE_FLOOR * res.s[0] ** 2]
         u = np.linalg.qr(np.hstack((kept, np.eye(b.shape[0], rank))))[0][:, :rank].T
-    return u * _sign_flips(u)[:, None]
+    return u * linalg._sign_flips(u)[:, None]
 
 
 def _top_eigenvectors(p: np.ndarray, rank: int) -> np.ndarray:
     """Eigenvectors of the `rank` largest eigenvalues of symmetric p as rows, with the sign rule."""
     u = np.linalg.eigh(p)[1][:, : -rank - 1 : -1].T
-    return u * _sign_flips(u)[:, None]
+    return u * linalg._sign_flips(u)[:, None]
 
 
 def _projectors(u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
@@ -307,18 +303,18 @@ def hooi(
     ranks,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    factor_tol: float | None = None,
+    factor_tol: float = DEFAULT_FACTOR_TOL,
 ) -> tuple[TuckerModel, FitReport]:
     """Higher-order orthogonal iteration from an HOSVD start.
 
     Each sweep updates every factor to the leading left singular vectors
     of the contracted unfolding, then re-solves the core.  Stops when the
     change of the relative reconstruction error (residual Frobenius norm over
-    the input norm) falls below `tol`; if `factor_tol` is given, the largest
-    entrywise factor change per sweep must also fall below it.  The
-    second criterion matters when near-degenerate trailing components keep
-    rotating long after the residual has flattened (the regression
-    fixed point is only reached once the factors themselves stop moving).
+    the input norm) falls below `tol` and the largest entrywise factor change
+    of the sweep falls below `factor_tol`.  The residual alone flattens long
+    before near-degenerate trailing components stop rotating; the regression
+    fixed point that :func:`self_consistency_check` certifies is reached only
+    once the factors themselves stop moving.
 
     Each sweep contracts the data once.  The sweeps run on R from one QR,
     unfold(t, 1) = Q R, of which only R is formed, so mode 1 has
@@ -345,8 +341,9 @@ def hooi(
     ranks = _validate_ranks(t.dims, ranks)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    for name, value in (("tol", tol), ("factor_tol", factor_tol)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
     n, m, k = t.dims
     l1, l2, l3 = ranks
@@ -410,9 +407,6 @@ def hooi(
         v1, w, u2, u3, core, core_sq = s1, (in2, in3), s2, s3, s_core, s_core_sq
         history.append(residual(core_sq, core, v1, u2, u3))
         if not extrapolated and abs(history[-2] - history[-1]) / scale < tol:
-            if factor_tol is None:
-                stop_reason = "residual"
-                break
             moved = max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), previous[1:]))
             if moved < factor_tol:
                 # U1 leaves the compressed coordinates only once U2 and U3 pass
@@ -444,25 +438,6 @@ def hooi(
         final_factor_change=moved,
     )
     return model, report
-
-
-def design_matrix(model: TuckerModel, mode: int) -> np.ndarray:
-    """Regression design for one mode's factor rows.
-
-    For mode 1 this is the (M*K, L1) matrix whose ((j, k), l1) entry is
-    sum_{l2, l3} core[l1, l2, l3] * u2[l2, j] * u3[l3, k]; rows are ordered
-    exactly like the columns of unfold(t, 1).  Modes 2 and 3 are analogous.
-    """
-    core, u1, u2, u3 = model.core, model.u1, model.u2, model.u3
-    if mode == 1:
-        y = np.einsum("abc,bj,ck->akj", core, u2, u3, optimize=True)
-    elif mode == 2:
-        y = np.einsum("abc,ai,ck->bki", core, u1, u3, optimize=True)
-    elif mode == 3:
-        y = np.einsum("abc,ai,bj->cji", core, u1, u2, optimize=True)
-    else:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    return y.reshape(y.shape[0], -1).T
 
 
 def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
@@ -529,14 +504,6 @@ def posterior_stats(
     return _mode_posterior(_ContractionKernel(t.values), model, mode, alpha, beta)
 
 
-def posterior_core_stats(
-    t: Tensor3, model: TuckerModel, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean (core-shaped) and covariance of the vectorized core."""
-    _check_posterior_args(t, model, alpha, beta)
-    return _core_posterior(_ContractionKernel(t.values), model, alpha, beta)
-
-
 def _noise_precision(resid: np.ndarray) -> float:
     ssq = float(np.sum(resid * resid))
     return BETA_CAP if ssq == 0.0 else resid.size / ssq
@@ -563,7 +530,8 @@ def btud_fit(
     normalized, and the core is re-solved.  The other two factors stay fixed
     within a mode, so Y(m) is contracted once per mode (see the module
     docstring).  Sweeps stop when the largest entrywise factor change falls
-    below `tol` (stop reason "factor_tol").
+    below `tol` (stop reason "factor_tol").  The report certifies the result
+    at SELF_CONSISTENCY_TOL, whatever `tol` is.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
@@ -612,7 +580,7 @@ def btud_fit(
 
     model = current_model()
     stats = _full_posterior(work, model, alpha, beta)
-    check = self_consistency_check(t, model, alpha=alpha, beta=beta, tol=tol, stats=stats)
+    check = self_consistency_check(t, model, alpha=alpha, beta=beta, stats=stats)
     report = FitReport(
         sweeps=sweeps,
         residual_history=np.array(history),
@@ -636,7 +604,7 @@ def self_consistency_check(
     model: TuckerModel,
     alpha: float,
     beta: float,
-    tol: float = 1e-6,
+    tol: float = SELF_CONSISTENCY_TOL,
     stats: PosteriorStats | None = None,
 ) -> ConsistencyCheck:
     """Compare the model's factors and core with their own posterior means.

@@ -33,14 +33,16 @@ class DegenerateComponentError(NumericalDegeneracyError):
 
 
 class DegenerateVarianceError(NumericalDegeneracyError):
-    """A posterior variance needed by the chi-square statistic is not positive."""
+    """A component the chi-square statistic needs carries no variance.
+
+    value is its posterior variance (not positive) or, on the matrix routes,
+    its squared singular value (at or below the noise floor).
+    """
 
     def __init__(self, component: int, value: float):
         self.component = component
         self.value = value
-        super().__init__(
-            f"posterior variance for component {component} is {value:.3e} (must be > 0)"
-        )
+        super().__init__(f"component {component} has degenerate variance {value:.3e}")
 
 
 class SigmaOptimizationError(NumericalDegeneracyError):

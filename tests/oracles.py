@@ -1,0 +1,154 @@
+"""Plain reference implementations (oracles) that the tests check btucker's solvers against.
+
+Each reference_* function and design_matrix computes the textbook formula
+directly: full-tensor einsum contractions, the explicit (M*K, L) regression
+design, SVD pseudoinverses.  posterior_core_stats exposes decomp's core
+posterior, which the package runs only inside the self-consistency check.
+"""
+
+import numpy as np
+
+from btucker import decomp, linalg
+from btucker.decomp import ORTHONORMALITY_TOL, TuckerModel, estimate_beta
+from btucker.tensor import reconstruct, unfold
+
+
+def design_matrix(model: TuckerModel, mode: int) -> np.ndarray:
+    """Regression design for one mode's factor rows.
+
+    For mode 1 this is the (M*K, L1) matrix whose ((j, k), l1) entry is
+    sum_{l2, l3} core[l1, l2, l3] * u2[l2, j] * u3[l3, k]; rows are ordered
+    exactly like the columns of unfold(t, 1).  Modes 2 and 3 are analogous.
+    """
+    core, u1, u2, u3 = model.core, model.u1, model.u2, model.u3
+    if mode == 1:
+        y = np.einsum("abc,bj,ck->akj", core, u2, u3, optimize=True)
+    elif mode == 2:
+        y = np.einsum("abc,ai,ck->bki", core, u1, u3, optimize=True)
+    elif mode == 3:
+        y = np.einsum("abc,ai,bj->cji", core, u1, u2, optimize=True)
+    else:
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    return y.reshape(y.shape[0], -1).T
+
+
+def reference_top_vectors(y, rank):
+    """Leading left singular vectors of y unfolded along its first axis, as rows."""
+    return linalg.svd(y.reshape(y.shape[0], -1), rank=rank).U.T
+
+
+def reference_hooi(t, ranks, max_iter, tol, factor_tol):
+    """Textbook HOOI: einsum contractions and linalg.svd top vectors on the full tensor.
+
+    No compression and no extrapolation; starts from the textbook HOSVD and
+    stops by the same two criteria as hooi.  Returns (model, residual history).
+    """
+    x = t.values
+    scale = np.linalg.norm(x)
+
+    def fit(u1, u2, u3):
+        core = np.einsum("ijk,ai,bj,ck->abc", x, u1, u2, u3, optimize=True)
+        approx = np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, optimize=True)
+        return core, float(np.linalg.norm(x - approx))
+
+    u = [linalg.svd(unfold(t, m), rank=r).U.T for m, r in zip((1, 2, 3), ranks)]
+    core, res = fit(*u)
+    history = [res]
+    for _ in range(max_iter):
+        previous = u
+        u1 = reference_top_vectors(np.einsum("ijk,bj,ck->ibc", x, u[1], u[2], optimize=True), ranks[0])
+        u2 = reference_top_vectors(np.einsum("ijk,ai,ck->jac", x, u1, u[2], optimize=True), ranks[1])
+        u3 = reference_top_vectors(np.einsum("ijk,ai,bj->kab", x, u1, u2, optimize=True), ranks[2])
+        u = [u1, u2, u3]
+        core, res = fit(*u)
+        history.append(res)
+        if (abs(history[-2] - history[-1]) / scale < tol
+                and max(np.max(np.abs(a - b)) for a, b in zip(u, previous)) < factor_tol):
+            break
+    return TuckerModel(core=core, u1=u[0], u2=u[1], u3=u[2]), np.array(history)
+
+
+def reference_core_regression(t, u1, u2, u3):
+    """The least-squares core by full-tensor einsum: projected if every factor is orthonormal."""
+    defect = max(float(np.max(np.abs(u @ u.T - np.eye(u.shape[0])))) for u in (u1, u2, u3))
+    if defect > ORTHONORMALITY_TOL:
+        u1, u2, u3 = (linalg.pseudoinverse(u).T for u in (u1, u2, u3))
+    return np.einsum("ijk,ai,bj,ck->abc", t.values, u1, u2, u3, optimize=True)
+
+
+def reference_btud_fit(t, init, alpha, max_sweeps, tol):
+    """The alternating-regression solver on the explicit design matrix.
+
+    Per component it builds the full design, solves every row through its
+    SVD pseudoinverse (or the ridge pseudoinverse), keeps one row and
+    re-solves the core on the full tensor.  Returns (model, residual
+    history, beta, sweeps, converged).
+    """
+    factors = [init.u1.copy(), init.u2.copy(), init.u3.copy()]
+    core = init.core.copy()
+    unfoldings = {mode: unfold(t, mode) for mode in (1, 2, 3)}
+
+    def current_model():
+        return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
+
+    def residual():
+        return float(np.linalg.norm((t.values - reconstruct(current_model()).values).ravel()))
+
+    history = [residual()]
+    converged = False
+    sweeps = 0
+    beta = estimate_beta(t, current_model())
+    for _ in range(max_sweeps):
+        before = [u.copy() for u in factors]
+        for mode in (1, 2, 3):
+            u = factors[mode - 1]
+            xm = unfoldings[mode]
+            for comp in range(u.shape[0]):
+                phi = design_matrix(current_model(), mode)
+                if alpha == 0.0:
+                    coef = linalg.pseudoinverse(phi) @ xm.T
+                else:
+                    ridge = linalg.pseudoinverse(phi.T @ phi + alpha * np.eye(phi.shape[1]))
+                    coef = ridge @ phi.T @ xm.T
+                u[comp] = coef[comp]
+                factors[mode - 1] = linalg.orthonormalize_rows(u, comp)
+                u = factors[mode - 1]
+                core = reference_core_regression(t, *factors)
+        sweeps += 1
+        beta = estimate_beta(t, current_model())
+        history.append(residual())
+        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
+        if delta < tol:
+            converged = True
+            break
+    return current_model(), np.array(history), beta, sweeps, converged
+
+
+def reference_posterior(t, model, mode, alpha, beta):
+    """Posterior mean and covariance of one mode on the explicit design matrix."""
+    phi = design_matrix(model, mode)
+    xm = unfold(t, mode)
+    if alpha == 0.0:
+        return linalg.pseudoinverse(phi) @ xm.T, linalg.pseudoinverse(beta * (phi.T @ phi))
+    cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * (phi.T @ phi))
+    return beta * cov @ phi.T @ xm.T, cov
+
+
+def posterior_core_stats(t, model, alpha, beta):
+    """decomp's posterior of the core: mean (core-shaped) and covariance of the vectorized core."""
+    return decomp._core_posterior(decomp._ContractionKernel(t.values), model, alpha, beta)
+
+
+def reference_matrix_posterior(x, components):
+    """The matrix btud route on its explicit design: the right singular vectors times s.
+
+    Returns the posterior (mean, cov) of the requested components' row
+    coefficients at alpha = 0, with beta from the residual of their
+    reconstruction.
+    """
+    idx = np.asarray(components) - 1
+    res = linalg.svd(x, rank=int(idx.max()) + 1)
+    phi = res.V[:, idx] * res.s[idx]
+    resid = x - (res.U[:, idx] * res.s[idx]) @ res.V[:, idx].T
+    beta = x.size / float(np.sum(resid * resid))
+    return linalg.pseudoinverse(phi) @ x.T, linalg.pseudoinverse(beta * (phi.T @ phi))

@@ -142,6 +142,15 @@ class TestDecompose:
         report = json.load(open(out / "report.json"))
         assert report["self_consistent"] is True
 
+    def test_default_settings_fit_to_the_certified_fixed_point(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        tensor.write_tensor(tensor.Tensor3(np.random.default_rng(72).normal(size=(30, 8, 6))), path)
+        code = main(["decompose", "--experiment", "custom", "--ranks", "3,2,2",
+                     "--data", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "stop factor_tol" in out and "self_consistent True" in out
+
     def test_corrupted_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("T3 4 4 4\n1 2 junk\n")
@@ -480,6 +489,18 @@ class TestExitCodes:
                      "--data", str(tmp_path / "m.txt"),
                      "--out-dir", str(tmp_path / "o")])
         assert code == 3
+
+
+    @pytest.mark.parametrize("mode", ["btud", "td"])
+    def test_rank_deficient_matrix_exit_3(self, tmp_path, capsys, mode):
+        rng = np.random.default_rng(73)
+        tensor.write_matrix(np.outer(rng.normal(size=200), rng.normal(size=30)), tmp_path / "m.txt")
+        code = main(["select", "--experiment", "custom", "--components", "1,2",
+                     "--selection-mode", mode, "--data", str(tmp_path / "m.txt"),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: component 2 ") and err.count("\n") == 1
 
 
 class TestConfusionReport:

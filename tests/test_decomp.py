@@ -6,25 +6,31 @@ import pytest
 from btucker import datagen, linalg
 from btucker.cli import build_config
 from btucker.decomp import (
+    DEFAULT_FACTOR_TOL,
     DEFAULT_TOL,
-    ORTHONORMALITY_TOL,
+    SELF_CONSISTENCY_TOL,
     FitReport,
     TuckerModel,
     _top_left_vectors,
     btud_fit,
     core_regression,
-    design_matrix,
     estimate_beta,
     hooi,
     hosvd_init,
     load_model,
-    posterior_core_stats,
     posterior_stats,
     save_model,
     self_consistency_check,
 )
 from btucker.errors import DegenerateComponentError
 from btucker.tensor import Tensor3, frobenius_norm, reconstruct, unfold
+from oracles import (
+    design_matrix,
+    posterior_core_stats,
+    reference_btud_fit,
+    reference_hooi,
+    reference_posterior,
+)
 
 
 def reject_constant(name):
@@ -53,110 +59,6 @@ def separable_tensor(dims, seed=0):
     a, b, c = (rng.normal(size=d) for d in dims)
     a, b, c = a / np.linalg.norm(a), b / np.linalg.norm(b), c / np.linalg.norm(c)
     return Tensor3(3.0 * np.einsum("i,j,k->ijk", a, b, c)), (a, b, c)
-
-
-def reference_top_vectors(y, rank):
-    """Leading left singular vectors of y unfolded along its first axis, as rows."""
-    return linalg.svd(y.reshape(y.shape[0], -1), rank=rank).U.T
-
-
-def reference_hooi(t, ranks, max_iter, tol, factor_tol=None):
-    """Textbook HOOI: einsum contractions and linalg.svd top vectors on the full tensor.
-
-    No compression and no extrapolation; starts from the textbook HOSVD and
-    stops by the same two criteria as hooi.  Returns (model, residual history).
-    """
-    x = t.values
-    scale = np.linalg.norm(x)
-
-    def fit(u1, u2, u3):
-        core = np.einsum("ijk,ai,bj,ck->abc", x, u1, u2, u3, optimize=True)
-        approx = np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, optimize=True)
-        return core, float(np.linalg.norm(x - approx))
-
-    u = [linalg.svd(unfold(t, m), rank=r).U.T for m, r in zip((1, 2, 3), ranks)]
-    core, res = fit(*u)
-    history = [res]
-    for _ in range(max_iter):
-        previous = u
-        u1 = reference_top_vectors(np.einsum("ijk,bj,ck->ibc", x, u[1], u[2], optimize=True), ranks[0])
-        u2 = reference_top_vectors(np.einsum("ijk,ai,ck->jac", x, u1, u[2], optimize=True), ranks[1])
-        u3 = reference_top_vectors(np.einsum("ijk,ai,bj->kab", x, u1, u2, optimize=True), ranks[2])
-        u = [u1, u2, u3]
-        core, res = fit(*u)
-        history.append(res)
-        if abs(history[-2] - history[-1]) / scale < tol and (
-            factor_tol is None
-            or max(np.max(np.abs(a - b)) for a, b in zip(u, previous)) < factor_tol
-        ):
-            break
-    return TuckerModel(core=core, u1=u[0], u2=u[1], u3=u[2]), np.array(history)
-
-
-def reference_core_regression(t, u1, u2, u3):
-    """The least-squares core by full-tensor einsum: projected if every factor is orthonormal."""
-    defect = max(float(np.max(np.abs(u @ u.T - np.eye(u.shape[0])))) for u in (u1, u2, u3))
-    if defect > ORTHONORMALITY_TOL:
-        u1, u2, u3 = (linalg.pseudoinverse(u).T for u in (u1, u2, u3))
-    return np.einsum("ijk,ai,bj,ck->abc", t.values, u1, u2, u3, optimize=True)
-
-
-def reference_btud_fit(t, init, alpha, max_sweeps, tol):
-    """The alternating-regression solver on the explicit design matrix.
-
-    Per component it builds the full design, solves every row through its
-    SVD pseudoinverse (or the ridge pseudoinverse), keeps one row and
-    re-solves the core on the full tensor.  Returns (model, residual
-    history, beta, sweeps, converged).
-    """
-    factors = [init.u1.copy(), init.u2.copy(), init.u3.copy()]
-    core = init.core.copy()
-    unfoldings = {mode: unfold(t, mode) for mode in (1, 2, 3)}
-
-    def current_model():
-        return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
-
-    def residual():
-        return float(np.linalg.norm((t.values - reconstruct(current_model()).values).ravel()))
-
-    history = [residual()]
-    converged = False
-    sweeps = 0
-    beta = estimate_beta(t, current_model())
-    for _ in range(max_sweeps):
-        before = [u.copy() for u in factors]
-        for mode in (1, 2, 3):
-            u = factors[mode - 1]
-            xm = unfoldings[mode]
-            for comp in range(u.shape[0]):
-                phi = design_matrix(current_model(), mode)
-                if alpha == 0.0:
-                    coef = linalg.pseudoinverse(phi) @ xm.T
-                else:
-                    ridge = linalg.pseudoinverse(phi.T @ phi + alpha * np.eye(phi.shape[1]))
-                    coef = ridge @ phi.T @ xm.T
-                u[comp] = coef[comp]
-                factors[mode - 1] = linalg.orthonormalize_rows(u, comp)
-                u = factors[mode - 1]
-                core = reference_core_regression(t, *factors)
-        sweeps += 1
-        beta = estimate_beta(t, current_model())
-        history.append(residual())
-        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
-        if delta < tol:
-            converged = True
-            break
-    return current_model(), np.array(history), beta, sweeps, converged
-
-
-def reference_posterior(t, model, mode, alpha, beta):
-    """Posterior mean and covariance of one mode on the explicit design matrix."""
-    phi = design_matrix(model, mode)
-    xm = unfold(t, mode)
-    if alpha == 0.0:
-        return linalg.pseudoinverse(phi) @ xm.T, linalg.pseudoinverse(beta * (phi.T @ phi))
-    cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * (phi.T @ phi))
-    return beta * cov @ phi.T @ xm.T, cov
 
 
 def assert_models_close(got, want, tol):
@@ -227,8 +129,10 @@ class TestHooi:
         t = random_tensor((3, 3, 3))
         with pytest.raises(ValueError):
             hooi(t, (2, 2, 2), max_iter=0)
-        with pytest.raises(ValueError):
-            hooi(t, (2, 2, 2), tol=0.0)
+        for bad in ({"tol": 0.0}, {"factor_tol": 0.0}, {"factor_tol": -1e-7},
+                    {"factor_tol": float("nan")}):
+            with pytest.raises(ValueError, match="must be positive"):
+                hooi(t, (2, 2, 2), **bad)
 
     @pytest.mark.parametrize("ranks", [(3, 1, 1), (1, 3, 1), (1, 1, 3)])
     def test_rank_above_product_of_others_rejected(self, ranks):
@@ -243,7 +147,8 @@ class TestHooi:
         ranks = (2, 2, 2)
         t = planted_tensor(dims, ranks, noise=0.1, seed=44)
         model, report = hooi(t, ranks, max_iter=1)
-        expected, history = reference_hooi(t, ranks, max_iter=1, tol=DEFAULT_TOL)
+        expected, history = reference_hooi(t, ranks, max_iter=1, tol=DEFAULT_TOL,
+                                           factor_tol=DEFAULT_FACTOR_TOL)
         assert report.sweeps == 1
         for got, want in zip((model.core, model.u1, model.u2, model.u3),
                              (expected.core, expected.u1, expected.u2, expected.u3)):
@@ -264,12 +169,16 @@ class TestHooi:
         core = core_regression(t, model.u1, model.u2, model.u3)
         assert np.max(np.abs(model.core - core)) <= 1e-12
 
-    def test_default_fit_stops_on_residual_without_extrapolating(self):
-        t = random_tensor((10, 8, 6), seed=45)
-        _, report = hooi(t, (3, 3, 3))
-        assert report.converged and report.stop_reason == "residual"
-        assert report.extrapolations_accepted == report.extrapolations_rejected == 0
-        assert report.sweeps == report.residual_history.size - 1
+    @pytest.mark.parametrize("dims, ranks", [((10, 8, 6), (3, 3, 3)), ((30, 8, 6), (3, 2, 2))],
+                             ids=["10x8x6", "30x8x6"])
+    def test_default_fit_reaches_the_certified_fixed_point(self, dims, ranks):
+        t = random_tensor(dims, seed=45)
+        model, report = hooi(t, ranks)
+        assert report.converged and report.stop_reason == "factor_tol"
+        assert report.final_factor_change < DEFAULT_FACTOR_TOL
+        assert report.sweeps == report.residual_history.size - 1 + report.extrapolations_rejected
+        check = self_consistency_check(t, model, alpha=0.0, beta=estimate_beta(t, model))
+        assert check.tol == SELF_CONSISTENCY_TOL and check.self_consistent
 
     def test_max_iter_stop_reason(self):
         t = random_tensor((10, 8, 6), seed=46)
@@ -563,6 +472,14 @@ class TestEstimateBeta:
 
 
 class TestBtudFit:
+    def test_certifies_at_the_fixed_tolerance_not_its_sweep_tol(self):
+        t = random_tensor((10, 8, 6), seed=31)
+        init, _ = hooi(t, (2, 2, 2), max_iter=20000, tol=1e-8, factor_tol=1e-7)
+        assert self_consistency_check(t, init, alpha=0.0, beta=estimate_beta(t, init)).self_consistent
+        _, _, report = btud_fit(t, init, alpha=0.0, max_sweeps=1, tol=1e-15)
+        assert report.self_consistent is True
+        assert report.max_mode_deviation <= SELF_CONSISTENCY_TOL
+
     def test_converges_immediately_from_hooi(self):
         t = random_tensor((10, 8, 6), seed=31)
         init, _ = hooi(t, (2, 2, 2), max_iter=2000, tol=1e-10, factor_tol=1e-9)
@@ -663,16 +580,18 @@ class TestModelSerialization:
         fit = doc["fit_report"]
         assert fit["self_consistent"] is None and fit["max_mode_deviation"] is None
         assert fit["stop_reason"] == report.stop_reason
-        # no factor change is measured on a residual stop without factor_tol
-        assert report.final_factor_change is None and fit["final_factor_change"] is None
-        _, measured = hooi(t, (2, 2, 2), factor_tol=1e-6)
         _, _, refit = btud_fit(t, model, max_sweeps=3)
-        for fitted in (measured, refit):
+        for fitted in (report, refit):
             save_model(model, path, report=fitted)
             fit = json.loads(path.read_text(), parse_constant=reject_constant)["fit_report"]
             assert fit["final_factor_change"] == fitted.final_factor_change
             assert isinstance(fit["final_factor_change"], float)
-        assert measured.final_factor_change < 1e-6
+        assert report.final_factor_change < DEFAULT_FACTOR_TOL
+        # no factor change is measured before the residual criterion holds
+        _, unmeasured = hooi(t, (2, 2, 2), max_iter=1)
+        save_model(model, path, report=unmeasured)
+        fit = json.loads(path.read_text(), parse_constant=reject_constant)["fit_report"]
+        assert unmeasured.final_factor_change is None and fit["final_factor_change"] is None
         unfinite = FitReport(sweeps=0, residual_history=np.array([np.nan]),
                              converged=False, stop_reason="max_iter")
         with pytest.raises(ValueError):

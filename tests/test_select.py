@@ -19,6 +19,7 @@ from btucker.select import (
     td_statistic,
     write_selection_csv,
 )
+from oracles import reference_matrix_posterior
 
 
 def bh_oracle(p):
@@ -294,6 +295,25 @@ class TestSvdSelect:
         res = svd_select(x, [1], mode="td", threshold=0.05)
         assert res.selected[:5].all()
         assert res.n_selected <= 15
+
+    def test_btud_mode_matches_the_explicit_design(self):
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(300, 40))
+        x[:20] += 2.0 * np.sin(np.arange(40) * 2.0 * np.pi / 3.0 + rng.uniform(0, 2 * np.pi, (20, 1)))
+        res = svd_select(x, [1, 2], mode="btud")
+        means, cov = reference_matrix_posterior(x, [1, 2])
+        want = btud_statistic(means, cov, [1, 2], calibrate=True)
+        assert res.selected[:20].all()
+        assert np.max(np.abs(res.statistic - want) / want) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["btud", "td"])
+    def test_rank_deficient_component_raises(self, mode):
+        rng = np.random.default_rng(71)
+        x = np.outer(rng.normal(size=200), rng.normal(size=30))  # rank 1
+        with pytest.raises(DegenerateVarianceError) as err:
+            svd_select(x, [1, 2], mode=mode)
+        assert err.value.component == 2
+        assert svd_select(x, [1], mode=mode).p_raw.shape == (200,)
 
     def test_td_mode_takes_one_svd(self, monkeypatch):
         calls = []
