@@ -23,11 +23,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import datagen, decomp, linalg, select, tensor
-from .decomp import SELF_CONSISTENCY_TOL
 from .errors import NumericalDegeneracyError
 
 EXIT_OK = 0
@@ -68,7 +68,6 @@ PRESETS = {
 
 # The values a string field may take; the flags offer the same.
 CHOICES = {
-    "solver": ("hooi", "btud", "hooi-then-check"),
     "component_rule": ("fixed", "by-core"),
     "selection_mode": ("btud", "td"),
 }
@@ -79,11 +78,7 @@ class ExperimentConfig:
     experiment: str = "custom"
     generator: dict = field(default_factory=dict)
     ranks: tuple = (1, 1, 1)
-    solver: str = "hooi-then-check"
     alpha: float = 0.0
-    max_iter: int = decomp.DEFAULT_MAX_ITER
-    tol: float = decomp.DEFAULT_TOL
-    factor_tol: float = decomp.DEFAULT_FACTOR_TOL
     components: tuple = (1,)
     component_rule: str = "fixed"
     fixed_l2: tuple = ()              # by-core: mode-2 indices to scan (empty = all)
@@ -93,6 +88,11 @@ class ExperimentConfig:
     selection_mode: str = "btud"      # matrix data only
     ensembles: int = 1
     seed: int = 0
+
+    # decomp's stop rule, readable for perfbench's HOOI call; not fields, so not settable
+    max_iter: ClassVar[int] = decomp.DEFAULT_MAX_ITER
+    tol: ClassVar[float] = decomp.DEFAULT_TOL
+    factor_tol: ClassVar[float] = decomp.DEFAULT_FACTOR_TOL
 
     def validate(self) -> None:
         """Check every field and generator key; a ValueError names the first bad one."""
@@ -109,6 +109,10 @@ class ExperimentConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        if not 0 <= self.alpha <= sys.float_info.max:  # exact for any int; NaN fails
+            raise ValueError(f"config field 'alpha' must be finite and >= 0, got {self.alpha}")
+        if self.n_components < 1:
+            raise ValueError(f"config field 'n_components' must be >= 1, got {self.n_components}")
         if not 0 < self.threshold < 1:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.ensembles < 1:
@@ -194,22 +198,12 @@ def generate_data(cfg: ExperimentConfig, seed: int):
 
 
 def decompose_tensor(t: tensor.Tensor3, cfg: ExperimentConfig):
-    """Run the configured solver; returns (model, report, beta)."""
-    model, report = decomp.hooi(
-        t, cfg.ranks, max_iter=cfg.max_iter, tol=cfg.tol, factor_tol=cfg.factor_tol
-    )
+    """HOOI to its fixed point, then its certificate; returns (model, report, beta)."""
+    model, report = decomp.hooi(t, cfg.ranks)
     beta = decomp.estimate_beta(t, model)
-    if cfg.solver == "btud":
-        model, stats, report = decomp.btud_fit(
-            t, model, alpha=cfg.alpha, max_sweeps=cfg.max_iter, tol=cfg.tol
-        )
-        beta = stats.beta
-    elif cfg.solver == "hooi-then-check":
-        check = decomp.self_consistency_check(
-            t, model, alpha=cfg.alpha, beta=beta, tol=SELF_CONSISTENCY_TOL
-        )
-        report.self_consistent = check.self_consistent
-        report.max_mode_deviation = check.max_mode_deviation
+    check = decomp.self_consistency_check(t, model, alpha=cfg.alpha, beta=beta)
+    report.self_consistent = check.self_consistent
+    report.max_mode_deviation = check.max_mode_deviation
     return model, report, beta
 
 
@@ -336,7 +330,7 @@ def cmd_decompose(data_path: Path, cfg: ExperimentConfig, out_dir: Path) -> int:
         json.dump(report.to_dict(), fh, indent=1, allow_nan=False)
         fh.write("\n")
     print(
-        f"solver {cfg.solver} sweeps {report.sweeps} converged {report.converged} "
+        f"sweeps {report.sweeps} converged {report.converged} "
         f"stop {report.stop_reason} factor_change {report.final_factor_change} "
         f"self_consistent {report.self_consistent}"
     )
@@ -480,7 +474,7 @@ def _int_tuple(text: str) -> tuple:
 
 
 # Flags that set the config field of the same name; None when not given.
-CONFIG_FLAGS = ("seed", "ranks", "solver", "alpha", "components", "threshold", "selection_mode",
+CONFIG_FLAGS = ("seed", "ranks", "alpha", "components", "threshold", "selection_mode",
                 "ensembles")
 
 
@@ -500,7 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out-dir", default="runs", help="output directory")
     common.add_argument("--ranks", type=_int_tuple, default=None, help="L1,L2,L3")
-    common.add_argument("--solver", default=None, choices=CHOICES["solver"])
     common.add_argument("--alpha", type=float, default=None)
     common.add_argument("--components", type=_int_tuple, default=None, help="e.g. 1,2")
     common.add_argument("--threshold", type=float, default=None)

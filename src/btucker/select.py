@@ -46,7 +46,7 @@ class SelectionResult:
 
 @dataclass(frozen=True)
 class SigmaFit:
-    sigma: np.ndarray          # the shared null SD, one entry per component
+    sigma: float               # the null SD, shared by the components
     sigma_h: float             # achieved histogram-occupancy SD
 
 
@@ -114,17 +114,16 @@ def btud_statistic(
     return np.sum(means[comps - 1] ** 2 / var[:, None], axis=0)
 
 
-def td_statistic(u: np.ndarray, sigma, components) -> np.ndarray:
-    """Per-feature sum of squared loadings over the null SD, per component."""
+def td_statistic(u: np.ndarray, sigma: float, components) -> np.ndarray:
+    """Per-feature sum of squared loadings over the one null SD `sigma`."""
     u = np.asarray(u, dtype=np.float64)
     comps = _component_indices(components, u.shape[0])
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), comps.shape).copy()
-    if np.any(sigma <= 0):
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return np.sum((u[comps - 1] / sigma[:, None]) ** 2, axis=0)
+    return np.sum((u[comps - 1] / sigma) ** 2, axis=0)
 
 
-def td_pvalues(u: np.ndarray, sigma, components) -> np.ndarray:
+def td_pvalues(u: np.ndarray, sigma: float, components) -> np.ndarray:
     comps = _component_indices(components, np.asarray(u).shape[0])
     return chi2_sf(td_statistic(u, sigma, components), dof=comps.size)
 
@@ -161,7 +160,7 @@ def optimize_sigma(u: np.ndarray, components) -> SigmaFit:
             best_sigma = float(cand)
     if best_sigma is None:
         raise SigmaOptimizationError("every candidate SD excluded all features")
-    return SigmaFit(sigma=np.full(comps.size, best_sigma), sigma_h=best_obj)
+    return SigmaFit(sigma=best_sigma, sigma_h=best_obj)
 
 
 def rank_components_by_core(core: np.ndarray, fixed: dict) -> list[tuple[int, float]]:

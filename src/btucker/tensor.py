@@ -12,8 +12,8 @@ Conventions used everywhere in this package:
   - mode 2: M x (N*K), column (i, k) at i + N*k
   - mode 3: K x (N*M), column (i, j) at i + N*j
 
-  Design matrices in :mod:`btucker.decomp` index their rows identically, so
-  regression systems line up with unfoldings without any permutation.
+  The contraction kernel in :mod:`btucker.decomp` orders its mode-2 and
+  mode-3 columns the other way round, with the core unfolded to match.
 """
 
 from __future__ import annotations

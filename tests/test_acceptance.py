@@ -42,9 +42,7 @@ def block_runs():
         t, truth = datagen.gen_synthetic_block(
             datagen.SyntheticBlockParams(seed=seed)
         )
-        model, fit = decomp.hooi(
-            t, cfg.ranks, max_iter=cfg.max_iter, tol=cfg.tol, factor_tol=cfg.factor_tol
-        )
+        model, fit = decomp.hooi(t, cfg.ranks)
         beta = decomp.estimate_beta(t, model)
         check = decomp.self_consistency_check(t, model, alpha=0.0, beta=beta, tol=1e-6)
         _, _, refit = decomp.btud_fit(t, model, alpha=0.0, max_sweeps=5, tol=1e-6)

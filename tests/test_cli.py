@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from btucker import datagen, decomp, linalg, select, tensor
 from btucker.cli import (
     ConfusionReport,
+    ExperimentConfig,
     build_config,
     confusion_counts,
     decompose_tensor,
@@ -20,7 +24,6 @@ from btucker.errors import FileFormatError
 SMALL_BLOCK = {
     "generator": {"N": 80, "M": 8, "K": 8, "N1": 6, "mu": 2.0},
     "ranks": [3, 2, 2],
-    "max_iter": 2000,
     "seed": 4,
 }
 
@@ -77,8 +80,17 @@ class TestConfig:
         ({"ranks": 5}, "ranks"),
         ({"components": [1.5]}, "components"),
         ({"experiment": "sinusoid"}, "experiment"),
+        ({"alpha": -0.5}, "alpha"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": float("inf")}, "alpha"),
+        ({"n_components": -1}, "n_components"),
+        ({"solver": "btud"}, "solver"),
+        ({"tol": 1e-6}, "tol"),
+        ({"factor_tol": 0}, "factor_tol"),
+        ({"max_iter": 10}, "max_iter"),
     ], ids=["unknown-key", "seed-key", "float-for-int", "string-for-float", "bool-for-float",
-            "int-for-tuple", "float-in-tuple", "experiment"])
+            "int-for-tuple", "float-in-tuple", "experiment", "negative-alpha", "nan-alpha",
+            "inf-alpha", "n-components-below-1", "solver", "tol", "factor-tol", "max-iter"])
     def test_config_mistake_exits_1_naming_the_field(self, tmp_path, capsys, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -87,6 +99,13 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
+
+    def test_readme_settings_table_lists_the_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Settings\n", 1)[1].strip().split("\n\n", 1)[0]
+        rows = table.splitlines()[2:]  # below the header and its rule
+        listed = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 class TestGenerate:
@@ -180,7 +199,7 @@ class TestDecompose:
         assert err.startswith(f"error: not UTF-8 text: {path}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["generate", "--solver", "nope"],
+        ["generate", "--selection-mode", "nope"],
         ["decompose"],
         ["generate", "--seed", "x"],
     ], ids=["invalid-choice", "missing-required", "non-integer"])
@@ -213,25 +232,24 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "product of the other two ranks" in err
 
-    def test_unchecked_fit_writes_strict_json(self, tmp_path, small_config):
+    def test_decompose_writes_strict_json(self, tmp_path, small_config):
         def reject(name):
             raise ValueError(f"{name} is not JSON")
 
         out = tmp_path / "run"
         main(["generate", "--experiment", "synthetic-block",
               "--config", str(small_config), "--out-dir", str(out)])
-        code = main(["decompose", "--experiment", "synthetic-block", "--solver", "hooi",
+        code = main(["decompose", "--experiment", "synthetic-block",
                      "--config", str(small_config),
                      "--data", str(out / "data.txt"), "--out-dir", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text(), parse_constant=reject)
         doc = json.loads((out / "model.json").read_text(), parse_constant=reject)
         assert doc["fit_report"] == report
-        assert report["self_consistent"] is None and report["max_mode_deviation"] is None
+        assert report["self_consistent"] is True
         assert report["converged"] is True and report["stop_reason"] == "factor_tol"
-        cfg = build_config("synthetic-block", config_path=small_config)
-        expected, _ = decomp.hooi(tensor.read_tensor(out / "data.txt"), cfg.ranks,
-                                  max_iter=cfg.max_iter, tol=cfg.tol, factor_tol=cfg.factor_tol)
+        ranks = build_config("synthetic-block", config_path=small_config).ranks
+        expected, _ = decomp.hooi(tensor.read_tensor(out / "data.txt"), ranks)
         model, _ = decomp.load_model(out / "model.json")
         for name in ("core", "u1", "u2", "u3"):
             assert np.array_equal(getattr(model, name), getattr(expected, name))

@@ -191,7 +191,7 @@ class TestOptimizeSigma:
         fit = optimize_sigma(u, [1, 2])
         # within one grid step of 1.0 (grid ratio (25)**(1/100))
         step = 25.0 ** (1.0 / 100.0)
-        assert 1.0 / step**1.5 <= fit.sigma[0] <= step**1.5
+        assert 1.0 / step**1.5 <= fit.sigma <= step**1.5
         n_prime = u.shape[1]
         assert fit.sigma_h <= 2.0 * np.sqrt(n_prime / DEFAULT_BINS)
 
@@ -206,7 +206,7 @@ class TestOptimizeSigma:
         f1 = optimize_sigma(u, [1])
         f2 = optimize_sigma(3.0 * u, [1])
         # optimal sigma scales with the data, up to one grid step
-        ratio = f2.sigma[0] / f1.sigma[0]
+        ratio = f2.sigma / f1.sigma
         step = 25.0 ** (1.0 / 100.0)
         assert 3.0 / step**1.01 <= ratio <= 3.0 * step**1.01
 
