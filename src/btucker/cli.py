@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import datagen, decomp, linalg, select, tensor
-from .errors import NumericalDegeneracyError
+from .errors import FileFormatError, NumericalDegeneracyError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ValueError(f"config field 'alpha' must be finite and >= 0, got {self.alpha}")
         if self.n_components < 1:
             raise ValueError(f"config field 'n_components' must be >= 1, got {self.n_components}")
+        for name in ("ranks", "components", "fixed_l2", "fixed_l3"):  # sizes and 1-based indices
+            if not all(1 <= v <= sys.maxsize for v in getattr(self, name)):
+                raise ValueError(f"config field {name!r} entries must lie in 1..{sys.maxsize}")
         if not 0 < self.threshold < 1:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.ensembles < 1:
@@ -170,8 +173,10 @@ def build_config(experiment: str, config_path=None, overrides: dict | None = Non
     cfg = ExperimentConfig(experiment=experiment)
     docs = [PRESETS.get(experiment, {})]
     if config_path:
-        with open(config_path) as fh:
-            docs.append(json.load(fh))
+        try:
+            docs.append(tensor._read_utf8(config_path, json.load))
+        except RecursionError as exc:
+            raise FileFormatError(f"config {config_path} nests too deeply to parse") from exc
     docs.append(overrides or {})
     for doc in docs:
         _apply(cfg, doc)
@@ -201,7 +206,8 @@ def decompose_tensor(t: tensor.Tensor3, cfg: ExperimentConfig):
     """HOOI to its fixed point, then its certificate; returns (model, report, beta)."""
     model, report = decomp.hooi(t, cfg.ranks)
     beta = decomp.estimate_beta(t, model)
-    check = decomp.self_consistency_check(t, model, alpha=cfg.alpha, beta=beta)
+    # the fit, whatever cfg.alpha (selection's prior), is a fixed point of the alpha = 0 regression
+    check = decomp.self_consistency_check(t, model, alpha=0.0, beta=beta)
     report.self_consistent = check.self_consistent
     report.max_mode_deviation = check.max_mode_deviation
     return model, report, beta
@@ -541,7 +547,7 @@ def main(argv=None) -> int:
             run_dir = Path(args.run_dir) if args.run_dir else out_dir
             return cmd_report(cfg, run_dir)
         raise ValueError(f"unknown command {args.command!r}")
-    except NumericalDegeneracyError as exc:
+    except (NumericalDegeneracyError, FloatingPointError) as exc:  # overflow is degeneracy
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (OSError, json.JSONDecodeError) as exc:

@@ -24,7 +24,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import DivergenceError, FileFormatError
-from .tensor import Tensor3
+from .tensor import Tensor3, _read_utf8
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -186,12 +186,13 @@ def write_truth_csv(mask: np.ndarray, path) -> None:
 
 
 def read_truth_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
+    def parse(fh) -> np.ndarray:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["truth"]:
+        if next(reader, None) != ["truth"]:
             raise FileFormatError(f"not a truth-mask CSV: {path}")
-        try:
-            return np.array([bool(int(row[0])) for row in reader], dtype=bool)
-        except (ValueError, IndexError) as exc:
-            raise FileFormatError(f"unparsable truth mask in {path}: {exc}") from exc
+        return np.array([bool(int(row[0])) for row in reader], dtype=bool)
+
+    try:
+        return _read_utf8(path, parse)
+    except (ValueError, IndexError, csv.Error) as exc:
+        raise FileFormatError(f"unparsable truth mask in {path}: {exc}") from exc

@@ -6,7 +6,8 @@ updates each factor row as a (possibly ridge-regularized) least-squares
 coefficient against the design Phi built from the core and the other two
 factors, re-orthonormalizes it and re-solves the core after every component.
 :func:`self_consistency_check` certifies a model as a stationary point of the
-regression by comparing each factor with its posterior mean.
+regression by comparing each factor with its posterior mean and the core
+with the least-squares core of the factors, which every solver here returns.
 
 Every contraction of the data goes through one kernel, Y(m): the data
 contracted with the factors of the two other modes b, c and unfolded along
@@ -22,11 +23,14 @@ pinv(gram + ridge*I) @ rhs, for alpha = 0 and alpha > 0 alike.  The
 posterior is S = pinv(alpha*I + beta*Phi^T Phi) with mean beta*S*Phi^T x.
 The pseudoinverse of the L x L Gram drops eigenvalues below 1e-12 * L times
 the largest: singular values of Phi below sqrt(1e-12 * L) times the largest.
+The least-squares core is the data contracted with u_m, or pinv(u_m)^T, in
+every mode; no (L1*L2*L3)-sided matrix is formed.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateComponentError, DegenerateRowError, FileFormatError
-from .tensor import Tensor3, frobenius_norm, reconstruct, unfold
+from .tensor import Tensor3, _read_utf8, frobenius_norm, reconstruct, unfold
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
 BETA_CAP = 1e12            # reported noise precision for an exactly zero residual
@@ -83,30 +87,6 @@ class TuckerModel:
 
     def factor(self, mode: int) -> np.ndarray:
         return (self.u1, self.u2, self.u3)[mode - 1]
-
-
-@dataclass(frozen=True)
-class PosteriorStats:
-    """Per-mode posterior means/covariances plus the core posterior.
-
-    mode_means[m] has shape (L_{m+1}, dim_{m+1}); mode_covs[m] is the shared
-    (L, L) covariance of that mode's regression coefficients.  core_mean has
-    the core's shape; core_cov covers the vectorized core (first core index
-    fastest).
-    """
-
-    mode_means: tuple[np.ndarray, np.ndarray, np.ndarray]
-    mode_covs: tuple[np.ndarray, np.ndarray, np.ndarray]
-    core_mean: np.ndarray
-    core_cov: np.ndarray
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
 
 
 @dataclass
@@ -440,6 +420,12 @@ def hooi(
     return model, report
 
 
+def _least_squares_core(work: _ContractionKernel, u1, u2, u3) -> np.ndarray:
+    """The data contracted with each factor's core-solve map, folded to the core's shape."""
+    p = [_core_factor(u) for u in (u1, u2, u3)]
+    return _fold_core(p[2] @ work.contracted(*p, 3), 3, [u.shape[0] for u in p])
+
+
 def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
     """Least-squares core for fixed factors.
 
@@ -449,9 +435,7 @@ def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) 
     row-orthonormal factors give the projected core
     G[a,b,c] = sum_{ijk} u1[a,i] u2[b,j] u3[c,k] x[i,j,k].
     """
-    p = [_core_factor(u) for u in (u1, u2, u3)]
-    y = _ContractionKernel(t.values).contracted(*p, 3)
-    return _fold_core(p[2] @ y, 3, [u.shape[0] for u in p])
+    return _least_squares_core(_ContractionKernel(t.values), u1, u2, u3)
 
 
 def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: float) -> None:
@@ -463,30 +447,18 @@ def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: fl
         raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
 
 
-def _gaussian_posterior(gram, rhs, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean pinv(gram + alpha/beta I) rhs and covariance pinv(alpha I + beta gram), symmetrized."""
-    inv = linalg.pseudoinverse(gram + (alpha / beta) * np.eye(gram.shape[0]))
-    cov = inv / beta
-    return inv @ rhs, 0.5 * (cov + cov.T)
-
-
 def _mode_posterior(work: _ContractionKernel, model: TuckerModel, mode: int,
                     alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean pinv(gram + alpha/beta I) G(m) Y(m)^T and covariance pinv(alpha I + beta gram).
+
+    gram is Phi(m)^T Phi(m) (see the module docstring); the covariance is symmetrized.
+    """
     factors = (model.u1, model.u2, model.u3)
     g = _core_unfolding(model.core, mode)
     gram = g @ _kron_gram(factors, mode) @ g.T
-    return _gaussian_posterior(gram, g @ work.contracted(*factors, mode).T, alpha, beta)
-
-
-def _core_posterior(work: _ContractionKernel, model: TuckerModel,
-                    alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    u1, u2, u3 = model.u1, model.u2, model.u3
-    # Gram of the vectorized-core design as kron(G3, G2, G1) so the first
-    # core index varies fastest, matching ravel(order="F").
-    gram = np.kron(u3 @ u3.T, np.kron(u2 @ u2.T, u1 @ u1.T))
-    proj = _fold_core(u3 @ work.contracted(u1, u2, u3, 3), 3, model.ranks)
-    mean, cov = _gaussian_posterior(gram, proj.ravel(order="F"), alpha, beta)
-    return mean.reshape(model.ranks, order="F"), cov
+    inv = linalg.pseudoinverse(gram + (alpha / beta) * np.eye(gram.shape[0]))
+    cov = inv / beta
+    return inv @ (g @ work.contracted(*factors, mode).T), 0.5 * (cov + cov.T)
 
 
 def posterior_stats(
@@ -520,8 +492,8 @@ def btud_fit(
     alpha: float = 0.0,
     max_sweeps: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-) -> tuple[TuckerModel, PosteriorStats, FitReport]:
-    """Alternating-regression Tucker solver.
+) -> tuple[TuckerModel, float, FitReport]:
+    """Alternating-regression Tucker solver; returns (model, beta, report).
 
     One sweep visits modes 1, 2, 3 in order.  Within a mode, components are
     processed one at a time: the coefficients of every fiber are solved as
@@ -530,8 +502,9 @@ def btud_fit(
     normalized, and the core is re-solved.  The other two factors stay fixed
     within a mode, so Y(m) is contracted once per mode (see the module
     docstring).  Sweeps stop when the largest entrywise factor change falls
-    below `tol` (stop reason "factor_tol").  The report certifies the result
-    at SELF_CONSISTENCY_TOL, whatever `tol` is.
+    below `tol` (stop reason "factor_tol").  beta is the noise precision of
+    the final residual.  The report certifies the result at `alpha` and beta,
+    on the kernel the sweeps ran on, at SELF_CONSISTENCY_TOL, whatever `tol` is.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
@@ -579,8 +552,7 @@ def btud_fit(
             break
 
     model = current_model()
-    stats = _full_posterior(work, model, alpha, beta)
-    check = self_consistency_check(t, model, alpha=alpha, beta=beta, stats=stats)
+    check = _consistency(work, model, alpha, beta, SELF_CONSISTENCY_TOL)
     report = FitReport(
         sweeps=sweeps,
         residual_history=np.array(history),
@@ -590,13 +562,28 @@ def btud_fit(
         self_consistent=check.self_consistent,
         max_mode_deviation=check.max_mode_deviation,
     )
-    return model, stats, report
+    return model, beta, report
 
 
-def _full_posterior(work: _ContractionKernel, model: TuckerModel,
-                    alpha: float, beta: float) -> PosteriorStats:
-    means, covs = zip(*(_mode_posterior(work, model, mode, alpha, beta) for mode in (1, 2, 3)))
-    return PosteriorStats(means, covs, *_core_posterior(work, model, alpha, beta), alpha, beta)
+def _consistency(work: _ContractionKernel, model: TuckerModel,
+                 alpha: float, beta: float, tol: float) -> ConsistencyCheck:
+    """The certificate on a kernel of the data; see :func:`self_consistency_check`."""
+    deviations = []
+    for mode in (1, 2, 3):
+        u = model.factor(mode)
+        m = _mode_posterior(work, model, mode, alpha, beta)[0]
+        flips = np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)
+        m *= flips[:, None]
+        deviations.append(float(np.max(np.abs(u - m))))
+    core = _least_squares_core(work, model.u1, model.u2, model.u3)
+    core_dev = float(np.max(np.abs(model.core - core)))
+    ok = bool(max(max(deviations), core_dev) <= tol)
+    return ConsistencyCheck(
+        self_consistent=ok,
+        mode_deviations=np.array(deviations),
+        core_deviation=core_dev,
+        tol=tol,
+    )
 
 
 def self_consistency_check(
@@ -605,32 +592,18 @@ def self_consistency_check(
     alpha: float,
     beta: float,
     tol: float = SELF_CONSISTENCY_TOL,
-    stats: PosteriorStats | None = None,
 ) -> ConsistencyCheck:
-    """Compare the model's factors and core with their own posterior means.
+    """Compare each factor with its posterior mean and the core with the least-squares core.
 
-    Rows of each posterior mean are sign-flipped toward the corresponding
-    factor row first (the decomposition carries no sign information).  The
-    model is accepted when every deviation is at most `tol`.
+    Rows of each posterior mean (at `alpha` and `beta`) are sign-flipped
+    toward the corresponding factor row first (the decomposition carries no
+    sign information).  The core is compared with :func:`core_regression` of
+    the model's factors, the core that :func:`hosvd_init`, :func:`hooi` and
+    :func:`btud_fit` return, so the core check does not depend on `alpha`.
+    The model is accepted when every deviation is at most `tol`.
     """
-    if stats is None:
-        _check_posterior_args(t, model, alpha, beta)
-        stats = _full_posterior(_ContractionKernel(t.values), model, alpha, beta)
-    deviations = []
-    for mode in (1, 2, 3):
-        u = model.factor(mode)
-        m = stats.mode_means[mode - 1].copy()
-        flips = np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)
-        m *= flips[:, None]
-        deviations.append(float(np.max(np.abs(u - m))))
-    core_dev = float(np.max(np.abs(model.core - stats.core_mean)))
-    ok = bool(max(max(deviations), core_dev) <= tol)
-    return ConsistencyCheck(
-        self_consistent=ok,
-        mode_deviations=np.array(deviations),
-        core_deviation=core_dev,
-        tol=tol,
-    )
+    _check_posterior_args(t, model, alpha, beta)
+    return _consistency(_ContractionKernel(t.values), model, alpha, beta, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -662,17 +635,27 @@ def save_model(model: TuckerModel, path, beta: float | None = None,
 def load_model(path) -> tuple[TuckerModel, dict]:
     """Returns the model plus the remaining metadata fields (alpha, beta, fit_report).
 
-    Raises FileFormatError unless ranks, core and u1-u3 are present, consistent and finite.
+    Raises FileFormatError unless the file is UTF-8 JSON; ranks, core and
+    u1-u3 are present, consistent and finite; alpha, if present, is a finite
+    number >= 0; and beta is a finite number > 0 or null (estimate it anew).
     """
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        doc = _read_utf8(path, json.load)
         core = np.array(doc["core"], dtype=np.float64).reshape(tuple(doc["ranks"]), order="F")
         factors = {u: np.array(doc[u], dtype=np.float64) for u in ("u1", "u2", "u3")}
         model = TuckerModel(core=core, **factors)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FileFormatError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
     if not all(np.all(np.isfinite(a)) for a in (core, *factors.values())):
         raise FileFormatError(f"malformed model file {path}: non-finite entries")
     meta = {k: doc[k] for k in ("alpha", "beta", "fit_report") if k in doc}
+    for key, positive in (("alpha", False), ("beta", True)):
+        value = meta.get(key)
+        if key not in meta or value is None and positive:
+            continue
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and (value > 0 if positive else value >= 0) and value <= sys.float_info.max):
+            raise FileFormatError(f"malformed model file {path}: {key} must be a finite number "
+                                  + ("> 0" if positive else ">= 0"))
+        meta[key] = float(value)
     return model, meta

@@ -19,6 +19,7 @@ from scipy.special import gammaincc
 
 from . import decomp, linalg
 from .errors import DegenerateVarianceError, FileFormatError, SigmaOptimizationError
+from .tensor import _read_utf8
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_BINS = 100
@@ -319,16 +320,18 @@ def read_selection_csv(path) -> SelectionResult:
     columns round-trip.
     """
     stats, p_raw, p_adj, sel = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            for row in reader:
-                stats.append(float(row["statistic"]))
-                p_raw.append(float(row["p_raw"]))
-                p_adj.append(float(row["p_adjusted"]))
-                sel.append(bool(int(row["selected"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"unparsable selection CSV {path}: {exc}") from exc
+
+    def parse(fh) -> None:
+        for row in csv.DictReader(fh):
+            stats.append(float(row["statistic"]))
+            p_raw.append(float(row["p_raw"]))
+            p_adj.append(float(row["p_adjusted"]))
+            sel.append(bool(int(row["selected"])))
+
+    try:
+        _read_utf8(path, parse)
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise FileFormatError(f"unparsable selection CSV {path}: {exc}") from exc
     return SelectionResult(
         statistic=np.array(stats),
         p_raw=np.array(p_raw),

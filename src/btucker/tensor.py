@@ -125,18 +125,21 @@ def write_tensor(t: Tensor3, path) -> None:
         _write_values(fh, t.values.ravel(order="F"))
 
 
-def _read_utf8(path, body: bool) -> tuple[list[str], str]:
-    """Header tokens and, if `body`, the rest of a text file; FileFormatError unless it is UTF-8."""
+def _read_utf8(path, parse):
+    """parse(fh) of a file opened as UTF-8 text, line ends untranslated.
+
+    Every input file is read through here; FileFormatError unless it is UTF-8.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readline().split(), fh.read() if body else ""
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"not UTF-8 text: {path}: {exc}") from exc
 
 
 def _read_text(path, tag: str, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Header dims and flat values of a `tag` file; FileFormatError on any defect."""
-    header, body = _read_utf8(path, body=True)
+    header, body = _read_utf8(path, lambda fh: (fh.readline().split(), fh.read()))
     if len(header) != ndim + 1 or header[0] != tag:
         raise FileFormatError(f"not a {tag} file: {path}")
     try:
@@ -172,7 +175,7 @@ def read_matrix(path) -> np.ndarray:
 
 def data_kind(path) -> str:
     """Peek at a data file header; returns "tensor" or "matrix"."""
-    tag, _ = _read_utf8(path, body=False)
+    tag = _read_utf8(path, lambda fh: fh.readline().split())
     if tag and tag[0] == "T3":
         return "tensor"
     if tag and tag[0] == "M2":

@@ -2,13 +2,12 @@
 
 Each reference_* function and design_matrix computes the textbook formula
 directly: full-tensor einsum contractions, the explicit (M*K, L) regression
-design, SVD pseudoinverses.  posterior_core_stats exposes decomp's core
-posterior, which the package runs only inside the self-consistency check.
+design, SVD pseudoinverses.
 """
 
 import numpy as np
 
-from btucker import decomp, linalg
+from btucker import linalg
 from btucker.decomp import ORTHONORMALITY_TOL, TuckerModel, estimate_beta
 from btucker.tensor import reconstruct, unfold
 
@@ -132,11 +131,6 @@ def reference_posterior(t, model, mode, alpha, beta):
         return linalg.pseudoinverse(phi) @ xm.T, linalg.pseudoinverse(beta * (phi.T @ phi))
     cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * (phi.T @ phi))
     return beta * cov @ phi.T @ xm.T, cov
-
-
-def posterior_core_stats(t, model, alpha, beta):
-    """decomp's posterior of the core: mean (core-shaped) and covariance of the vectorized core."""
-    return decomp._core_posterior(decomp._ContractionKernel(t.values), model, alpha, beta)
 
 
 def reference_matrix_posterior(x, components):

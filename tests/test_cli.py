@@ -71,30 +71,32 @@ class TestConfig:
         with pytest.raises(ValueError):
             build_config("synthetic-block", config_path=path)
 
-    @pytest.mark.parametrize("doc, field", [
-        ({"generator": {"NN": 5}}, "NN"),
-        ({"generator": {"seed": 3}}, "seed"),
-        ({"generator": {"N": 80.0}}, "generator.N"),
-        ({"threshold": "0.1"}, "threshold"),
-        ({"alpha": True}, "alpha"),
-        ({"ranks": 5}, "ranks"),
-        ({"components": [1.5]}, "components"),
-        ({"experiment": "sinusoid"}, "experiment"),
-        ({"alpha": -0.5}, "alpha"),
-        ({"alpha": float("nan")}, "alpha"),
-        ({"alpha": float("inf")}, "alpha"),
-        ({"n_components": -1}, "n_components"),
-        ({"solver": "btud"}, "solver"),
-        ({"tol": 1e-6}, "tol"),
-        ({"factor_tol": 0}, "factor_tol"),
-        ({"max_iter": 10}, "max_iter"),
+    @pytest.mark.parametrize("experiment, doc, field", [
+        ("synthetic-block", {"generator": {"NN": 5}}, "NN"),
+        ("synthetic-block", {"generator": {"seed": 3}}, "seed"),
+        ("synthetic-block", {"generator": {"N": 80.0}}, "generator.N"),
+        ("synthetic-block", {"threshold": "0.1"}, "threshold"),
+        ("synthetic-block", {"alpha": True}, "alpha"),
+        ("synthetic-block", {"ranks": 5}, "ranks"),
+        ("synthetic-block", {"components": [1.5]}, "components"),
+        ("synthetic-block", {"experiment": "sinusoid"}, "experiment"),
+        ("synthetic-block", {"alpha": -0.5}, "alpha"),
+        ("synthetic-block", {"alpha": float("nan")}, "alpha"),
+        ("synthetic-block", {"alpha": float("inf")}, "alpha"),
+        ("synthetic-block", {"n_components": -1}, "n_components"),
+        ("synthetic-block", {"solver": "btud"}, "solver"),
+        ("synthetic-block", {"tol": 1e-6}, "tol"),
+        ("synthetic-block", {"factor_tol": 0}, "factor_tol"),
+        ("synthetic-block", {"max_iter": 10}, "max_iter"),
+        ("custom", {"components": [10**400]}, "components"),
     ], ids=["unknown-key", "seed-key", "float-for-int", "string-for-float", "bool-for-float",
             "int-for-tuple", "float-in-tuple", "experiment", "negative-alpha", "nan-alpha",
-            "inf-alpha", "n-components-below-1", "solver", "tol", "factor-tol", "max-iter"])
-    def test_config_mistake_exits_1_naming_the_field(self, tmp_path, capsys, doc, field):
+            "inf-alpha", "n-components-below-1", "solver", "tol", "factor-tol", "max-iter",
+            "huge-component-custom"])
+    def test_config_mistake_exits_1_naming_the_field(self, tmp_path, capsys, experiment, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code = main(["generate", "--experiment", "synthetic-block", "--config", str(path),
+        code = main(["generate", "--experiment", experiment, "--config", str(path),
                      "--out-dir", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
@@ -170,6 +172,18 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert "stop factor_tol" in out and "self_consistent True" in out
 
+    def test_positive_alpha_certifies_the_fit(self, tmp_path, small_config, capsys):
+        # the HOOI fit is the alpha = 0 fixed point whatever alpha is; alpha is selection's prior
+        out = tmp_path / "run"
+        common = ["--experiment", "synthetic-block", "--config", str(small_config),
+                  "--out-dir", str(out)]
+        assert main(["generate", *common]) == 0
+        capsys.readouterr()
+        assert main(["decompose", *common, "--alpha", "0.5", "--data", str(out / "data.txt")]) == 0
+        assert "self_consistent True" in capsys.readouterr().out
+        _, meta = decomp.load_model(out / "model.json")
+        assert meta["alpha"] == 0.5
+
     def test_corrupted_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("T3 4 4 4\n1 2 junk\n")
@@ -188,12 +202,21 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err == f"error: non-finite entries in {path}\n"
 
-    @pytest.mark.parametrize("command", ["select", "decompose"])
-    def test_not_utf8_file_exit_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("reader", ["select", "decompose", "model", "config", "truth"])
+    def test_not_utf8_file_exit_2(self, tmp_path, capsys, reader):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe\x00\x01")
-        code = main([command, "--experiment", "custom", "--data", str(path),
-                     "--out-dir", str(tmp_path / "o")])
+        data, selection = tmp_path / "data.txt", tmp_path / "selection.csv"
+        tensor.write_tensor(tensor.Tensor3(np.ones((2, 2, 2))), data)
+        select.write_selection_csv(select.select_features(np.array([0.5]), 0.05), selection)
+        argv = {
+            "select": ["select", "--data", str(path)],
+            "decompose": ["decompose", "--data", str(path)],
+            "model": ["select", "--data", str(data), "--model", str(path)],
+            "config": ["generate", "--config", str(path)],
+            "truth": ["evaluate", "--selection", str(selection), "--truth", str(path)],
+        }[reader]
+        code = main([*argv, "--experiment", "custom", "--out-dir", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: not UTF-8 text: {path}") and err.count("\n") == 1
@@ -330,7 +353,10 @@ class TestSelect:
 
 
 class TestMalformedModel:
-    @pytest.mark.parametrize("defect", ["missing-core", "ragged-u1", "short-core", "nan-u2"])
+    @pytest.mark.parametrize("defect", [
+        "missing-core", "ragged-u1", "short-core", "nan-u2", "list-beta", "huge-beta",
+        "huge-core-entry", "nan-beta", "inf-beta", "bool-beta", "negative-alpha", "deep-nesting",
+    ])
     def test_exit_2_with_one_line(self, tmp_path, capsys, defect):
         rng = np.random.default_rng(8)
         t = tensor.Tensor3(rng.normal(size=(6, 5, 4)))
@@ -344,9 +370,17 @@ class TestMalformedModel:
             doc["u1"][1].pop()
         elif defect == "short-core":
             doc["core"].pop()
-        else:
+        elif defect == "nan-u2":
             doc["u2"][0][0] = float("nan")
-        (tmp_path / "model.json").write_text(json.dumps(doc))
+        elif defect == "huge-core-entry":
+            doc["core"][0] = 10**400
+        elif defect == "negative-alpha":
+            doc["alpha"] = -1.0
+        else:
+            doc["beta"] = {"list-beta": [1], "huge-beta": 10**400, "nan-beta": float("nan"),
+                           "inf-beta": float("inf"), "bool-beta": True}.get(defect)
+        text = "[" * 100000 + "]" * 100000 if defect == "deep-nesting" else json.dumps(doc)
+        (tmp_path / "model.json").write_text(text)
         with pytest.raises(FileFormatError):
             decomp.load_model(tmp_path / "model.json")
         code = main(["select", "--experiment", "custom", "--data", str(tmp_path / "data.txt"),
@@ -382,6 +416,20 @@ class TestEvaluate:
         truth = np.array([True, True, False, False, False])
         tn, fn, fp, tp = confusion_counts(sel, truth)
         assert tp == 0 and fn == 2
+
+    @pytest.mark.parametrize("oversized", ["selection", "truth"])
+    def test_csv_field_over_the_limit_exit_2(self, tmp_path, capsys, oversized):
+        # the csv module refuses fields over 131072 characters
+        sel = select.select_features(np.array([0.5]), 0.05)
+        select.write_selection_csv(sel, tmp_path / "selection.csv")
+        datagen.write_truth_csv(np.array([True]), tmp_path / "truth.csv")
+        path = tmp_path / f"{oversized}.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n" + "1" * 131073 + "\n")
+        code = main(["evaluate", "--selection", str(tmp_path / "selection.csv"),
+                     "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unparsable ") and err.count("\n") == 1
 
     def test_length_mismatch_exit_1(self, tmp_path):
         sel = select.select_features(np.array([0.5, 0.5]), 0.05)

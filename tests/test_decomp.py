@@ -26,7 +26,6 @@ from btucker.errors import DegenerateComponentError
 from btucker.tensor import Tensor3, frobenius_norm, reconstruct, unfold
 from oracles import (
     design_matrix,
-    posterior_core_stats,
     reference_btud_fit,
     reference_hooi,
     reference_posterior,
@@ -228,12 +227,12 @@ class TestBtudMatchesReference:
     def test_three_sweeps_from_hosvd(self, dims, alpha):
         t = random_tensor(dims, seed=51)
         init = hosvd_init(t, (2, 2, 2))
-        model, stats, report = btud_fit(t, init, alpha=alpha, max_sweeps=3, tol=1e-15)
-        expected, history, beta, sweeps, converged = reference_btud_fit(t, init, alpha, 3, 1e-15)
+        model, beta, report = btud_fit(t, init, alpha=alpha, max_sweeps=3, tol=1e-15)
+        expected, history, want_beta, sweeps, converged = reference_btud_fit(t, init, alpha, 3, 1e-15)
         assert report.sweeps == sweeps == 3 and report.converged is converged is False
         assert_models_close(model, expected, 1e-12)
         assert np.max(np.abs(report.residual_history - history)) < 1e-12
-        assert abs(stats.beta - beta) <= 1e-12 * beta
+        assert abs(beta - want_beta) <= 1e-12 * want_beta
 
     def test_preset_refit(self, preset_fits):
         init, _, _, _, t = preset_fits
@@ -417,35 +416,6 @@ class TestPosteriorStats:
             posterior_stats(t, model, 1, alpha=0.0, beta=0.0)
 
 
-class TestPosteriorCoreStats:
-    def test_mean_matches_core_on_exact_model(self):
-        model = random_model((5, 4, 4), (2, 2, 2), seed=22)
-        t = reconstruct(model)
-        mean, _ = posterior_core_stats(t, model, alpha=0.0, beta=1.0)
-        assert np.max(np.abs(mean - model.core)) < 1e-9
-
-    def test_cov_is_identity_over_beta_for_orthonormal_factors(self):
-        model = random_model((5, 4, 4), (2, 2, 2), seed=23)
-        t = random_tensor((5, 4, 4), seed=24)
-        beta = 2.5
-        _, cov = posterior_core_stats(t, model, alpha=0.0, beta=beta)
-        assert np.max(np.abs(cov - np.eye(8) / beta)) < 1e-9
-
-    def test_large_alpha_shrinks_core_mean(self):
-        model = random_model((5, 4, 4), (2, 2, 2), seed=25)
-        t = random_tensor((5, 4, 4), seed=26)
-        mean, _ = posterior_core_stats(t, model, alpha=1e12, beta=1.0)
-        assert np.max(np.abs(mean)) < 1e-6
-
-    def test_ridge_cov_identity_for_orthonormal_design(self):
-        # orthonormal factor grams: S = I / (alpha + beta)
-        model = random_model((5, 4, 4), (2, 2, 2), seed=47)
-        t = random_tensor((5, 4, 4), seed=48)
-        alpha, beta = 0.7, 1.9
-        _, cov = posterior_core_stats(t, model, alpha=alpha, beta=beta)
-        assert np.max(np.abs(cov - np.eye(8) / (alpha + beta))) < 1e-9
-
-
 class TestEstimateBeta:
     def test_unit_residuals(self):
         model = random_model((4, 4, 4), (1, 1, 1), seed=27)
@@ -511,8 +481,7 @@ class TestBtudFit:
         # property check is that the fit still runs and stays orthonormal
         t = random_tensor((6, 5, 4), seed=35)
         init = hosvd_init(t, (2, 2, 2))
-        model, stats, _ = btud_fit(t, init, alpha=10.0, max_sweeps=2, tol=1e-10)
-        assert stats.alpha == 10.0
+        model, _, _ = btud_fit(t, init, alpha=10.0, max_sweeps=2, tol=1e-10)
         for u in (model.u1, model.u2, model.u3):
             assert np.max(np.abs(u @ u.T - np.eye(u.shape[0]))) < 1e-8
 
@@ -544,6 +513,17 @@ class TestSelfConsistency:
         beta = estimate_beta(t, perturbed)
         check = self_consistency_check(t, perturbed, alpha=0.0, beta=beta, tol=1e-6)
         assert not check.self_consistent
+
+    def test_perturbed_core_entry_fails(self):
+        # factors untouched, so the least-squares core is unchanged: the deviation is the change
+        t = random_tensor((12, 9, 7), seed=38)
+        model, _ = hooi(t, (3, 2, 2))
+        core = model.core.copy()
+        core[1, 0, 1] += 1e-4
+        perturbed = TuckerModel(core=core, u1=model.u1, u2=model.u2, u3=model.u3)
+        check = self_consistency_check(t, perturbed, alpha=0.0, beta=estimate_beta(t, model))
+        assert not check.self_consistent
+        assert abs(check.core_deviation - 1e-4) <= 1e-12
 
     def test_exact_separable_model(self):
         t, (a, b, c) = separable_tensor((6, 5, 4), seed=40)
