@@ -3,8 +3,9 @@
 Named experiments carry their standard parameters as presets (data sizes,
 rank caps, component choice).  The preset, a JSON config file and the flags
 are applied in that order through one path, so each can override any field.
-Outputs are deterministic functions of the configuration, the seed and the
-BLAS thread count (the HOOI stopping sweep moves with the thread count).
+Outputs are deterministic functions of the configuration and the seed at a
+given BLAS thread count; across thread counts, which round differently, the
+fitted factors agree within 1e-10.
 Ensemble member e runs with seed + e, so member 0 reproduces a standalone
 run with the same base seed.
 
@@ -120,6 +121,9 @@ class ExperimentConfig:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.ensembles < 1:
             raise ValueError(f"ensembles must be >= 1, got {self.ensembles}")
+        if not 0 <= self.seed <= 2**64 - self.ensembles:  # every member's seed keys a Philox stream
+            raise ValueError(f"config field 'seed' must satisfy 0 <= seed and "
+                             f"seed + ensembles - 1 < 2**64, got {self.seed}")
         caps = PRESETS.get(self.experiment, {}).get("ranks")
         if caps is not None:
             for m, (r, cap) in enumerate(zip(self.ranks, caps), start=1):
@@ -177,6 +181,11 @@ def build_config(experiment: str, config_path=None, overrides: dict | None = Non
             docs.append(tensor._read_utf8(config_path, json.load))
         except RecursionError as exc:
             raise FileFormatError(f"config {config_path} nests too deeply to parse") from exc
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # int() refuses a number beyond its string-conversion limit
+            raise FileFormatError(
+                f"unparsable config {config_path}: a number has too many digits") from exc
     docs.append(overrides or {})
     for doc in docs:
         _apply(cfg, doc)
@@ -337,8 +346,9 @@ def cmd_decompose(data_path: Path, cfg: ExperimentConfig, out_dir: Path) -> int:
         fh.write("\n")
     print(
         f"sweeps {report.sweeps} converged {report.converged} "
-        f"stop {report.stop_reason} factor_change {report.final_factor_change} "
-        f"self_consistent {report.self_consistent}"
+        f"stop {report.stop_reason} newton_steps {report.newton_steps} "
+        f"factor_change {report.final_factor_change} "
+        f"gradient_norm {report.final_gradient_norm} self_consistent {report.self_consistent}"
     )
     return EXIT_OK
 

@@ -1,7 +1,8 @@
 """Tucker solvers and posterior statistics.
 
 Two routes to the same decomposition: :func:`hooi`, higher-order orthogonal
-iteration from :func:`hosvd_init` (the default), and :func:`btud_fit`, which
+iteration from :func:`hosvd_init` finished by a Riemannian trust-region Newton
+phase on the exact Hessian of ||core||^2 (the default), and :func:`btud_fit`, which
 updates each factor row as a (possibly ridge-regularized) least-squares
 coefficient against the design Phi built from the core and the other two
 factors, re-orthonormalizes it and re-solves the core after every component.
@@ -29,9 +30,9 @@ every mode; no (L1*L2*L3)-sided matrix is formed.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,16 @@ from .errors import DegenerateComponentError, DegenerateRowError, FileFormatErro
 from .tensor import Tensor3, _read_utf8, frobenius_norm, reconstruct, unfold
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
-BETA_CAP = 1e12            # reported noise precision for an exactly zero residual
+BETA_CAP = 1e12            # largest reported noise precision, reached by near-exact fits
 NOISE_FLOOR = 1e-10        # squared singular values below this times the largest are noise
 
 DEFAULT_MAX_ITER = 20000
 DEFAULT_TOL = 1e-8
 DEFAULT_FACTOR_TOL = 1e-7
 SELF_CONSISTENCY_TOL = 1e-6  # largest factor or core deviation from the posterior mean
-ANDERSON_WINDOW = 5        # residual differences in hooi's Anderson extrapolation
+TR_RADIUS = 1.0            # hooi's first and largest trust-region radius
+TR_THETA = 1.0             # truncated CG stops once |r| <= |g| min(|g|^TR_THETA, TR_KAPPA)
+TR_KAPPA = 0.3
 
 
 @dataclass(frozen=True)
@@ -93,17 +96,19 @@ class TuckerModel:
 class FitReport:
     """Convergence bookkeeping for a solver run.
 
-    sweeps counts every sweep computed, including :func:`hooi`'s rejected
-    extrapolations.  residual_history[0] is the error of the initial model,
-    and one entry follows per accepted sweep, so the history never rises.
-    stop_reason names the criterion that ended the run: "factor_tol" (the
-    largest entrywise factor change fell below its bound, for :func:`hooi`
-    once the relative residual change had fallen below tol) or "max_iter"
-    (the sweep budget ran out, converged is False).  extrapolations_accepted
-    and extrapolations_rejected count :func:`hooi`'s Anderson steps.
-    final_factor_change is the last largest entrywise factor change the
-    solver measured, None if it measured none (:func:`hooi` measures it only
-    once the residual criterion holds).
+    sweeps counts the sweeps (for :func:`hooi`, the plain ones, not its
+    trust-region steps), and residual_history[0] is the error of
+    the initial model with one entry per sweep after it, so the history never
+    rises.  stop_reason names the criterion that ended the run: "factor_tol"
+    (the largest entrywise factor change fell below its bound, for
+    :func:`hooi` once the relative residual change had fallen below tol) or
+    "max_iter" (the budget ran out, converged is False).  newton_steps
+    counts :func:`hooi`'s kept trust-region steps.  final_factor_change is
+    the last largest entrywise factor change the solver measured, None if it
+    measured none (:func:`hooi` measures it only once the residual criterion
+    holds).  final_gradient_norm is the norm of the Riemannian gradient of
+    ||core||^2 at :func:`hooi`'s last trust-region point, None if the trust
+    region never ran.
     self_consistent / max_mode_deviation stay None ("not checked") except on
     paths that run the posterior-mean comparison.
     """
@@ -112,9 +117,9 @@ class FitReport:
     residual_history: np.ndarray
     converged: bool
     stop_reason: str
-    extrapolations_accepted: int = 0
-    extrapolations_rejected: int = 0
+    newton_steps: int = 0
     final_factor_change: float | None = None
+    final_gradient_norm: float | None = None
     self_consistent: bool | None = None
     max_mode_deviation: float | None = None
 
@@ -125,9 +130,9 @@ class FitReport:
             "residual_history": [float(x) for x in self.residual_history],
             "converged": self.converged,
             "stop_reason": self.stop_reason,
-            "extrapolations_accepted": self.extrapolations_accepted,
-            "extrapolations_rejected": self.extrapolations_rejected,
+            "newton_steps": self.newton_steps,
             "final_factor_change": None if change is None else float(change),
+            "final_gradient_norm": self.final_gradient_norm,
             "self_consistent": self.self_consistent,
             "max_mode_deviation": None if deviation is None else float(deviation),
         }
@@ -246,28 +251,86 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
     return u * linalg._sign_flips(u)[:, None]
 
 
-def _top_eigenvectors(p: np.ndarray, rank: int) -> np.ndarray:
-    """Eigenvectors of the `rank` largest eigenvalues of symmetric p as rows, with the sign rule."""
-    u = np.linalg.eigh(p)[1][:, : -rank - 1 : -1].T
-    return u * linalg._sign_flips(u)[:, None]
+class _CoreNorm:
+    """f(U2, U3) = ||core||^2 with U1 optimal, its Riemannian gradient and Hessian.
 
-
-def _projectors(u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
-    """The mode-2 and mode-3 projectors U^T U, stacked as one vector."""
-    return np.concatenate(((u2.T @ u2).ravel(), (u3.T @ u3).ravel()))
-
-
-def _anderson(pairs) -> np.ndarray:
-    """Anderson extrapolation (Walker & Ni 2011, type II) from (input, output) pairs.
-
-    Returns g_k - dG gamma, where gamma fits the last residual f_k = g_k - x_k
-    by the differences dF of consecutive residuals in least squares.
+    At row-orthonormal (u2, u3), A = R x2 U2 x3 U3 unfolded along mode 1
+    (the kernel's Y(1), columns (c, b)), lambda and W the top-l1 eigenpairs
+    of A^T A and W_ the rest, so f = sum(lambda) and the optimal U1 is
+    V1 = A W Lambda^-1/2.  With H = W (A W)^T R(1), the Euclidean gradient
+    is e2 = 2 H contracted with U3 (e3 likewise with U2), and the Riemannian
+    one is e projected off the rows of U.  Along a tangent xi, the top
+    eigenspace turns by W_ X with X = (W_^T dS W) / (lambda_a - lambda_b),
+    dS = dA^T A + A^T dA, so dH = W (dA W + A W_ X)^T R(1) + W_ X (A W)^T R(1),
+    and the Hessian is P(De[xi]) - (e U^T) xi on the Grassmann quotient
+    (Absil, Mahony & Sepulchre 2008).  Every contraction with R runs once
+    per point, through the kernel: R x3 U3 on `work` and R x2 U2 on `swapped`
+    (R with modes 2 and 3 swapped), each with the identity in the other
+    mode, and T = (A W)^T R(1); a Hessian product then only contracts these
+    with small matrices.  Tangents are (xi2, xi3) raveled into one vector.
+    `degenerate` is True when lambda_L1 - lambda_L1+1 <= NOISE_FLOOR *
+    lambda_1, where X is undefined.
     """
-    xs = np.array([x for x, _ in pairs])
-    gs = np.array([g for _, g in pairs])
-    fs = gs - xs
-    gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
-    return gs[-1] - np.diff(gs, axis=0).T @ gamma
+
+    def __init__(self, work: _ContractionKernel, swapped: _ContractionKernel, u2, u3, l1: int):
+        (l2, m), (l3, k) = u2.shape, u3.shape
+        self.work, self.u2, self.u3 = work, u2, u3
+        # (N', L3 * M) and (N', L2 * K), columns (c, j) and (b, k)
+        self.ru3 = work.contracted(None, np.eye(m), u3, mode=1)
+        self.ru2 = swapped.contracted(None, np.eye(k), u2, mode=1)
+        self.a = (self.ru3.reshape(-1, m) @ u2.T).reshape(-1, l3 * l2)
+        lam, vecs = np.linalg.eigh(self.a.T @ self.a)
+        below = lam[-l1 - 1] if l1 < lam.size else 0.0
+        self.degenerate = not lam[-l1] - below > NOISE_FLOOR * lam[-1]
+        self.w, self.lam, self.w_, self.lam_ = vecs[:, -l1:], lam[-l1:], vecs[:, :-l1], lam[:-l1]
+        self.f = float(np.sum(self.lam))
+        self.aw = self.a @ self.w
+        self.e2, self.e3 = self._contract(self.aw @ self.w.T)
+        self.grad = self._project(self.e2, self.e3)
+
+    @functools.cached_property
+    def _t(self) -> tuple[np.ndarray, np.ndarray]:
+        """T = (A W)^T R(1) as (L1 * M, K) and, transposed, as (M, L1 * K)."""
+        r = self.work.values
+        t = (self.aw.T @ r.reshape(r.shape[0], -1)).reshape(-1, *r.shape[1:])
+        return t.reshape(-1, r.shape[2]), t.transpose(1, 0, 2).reshape(r.shape[1], -1)
+
+    def _contract(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """2 d^T R(1), d with Y(1)'s shape, contracted with U3 (mode 2) and with U2 (mode 3)."""
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        d = d.reshape(-1, l3, l2)
+        return (2 * d.reshape(-1, l2).T @ self.ru3.reshape(-1, m),
+                2 * d.transpose(0, 2, 1).reshape(-1, l3).T @ self.ru2.reshape(-1, k))
+
+    def _project(self, d2, d3) -> np.ndarray:
+        """(d2, d3) projected off the rows of (u2, u3), raveled into one tangent vector."""
+        return np.concatenate(((d2 - (d2 @ self.u2.T) @ self.u2).ravel(),
+                               (d3 - (d3 @ self.u3.T) @ self.u3).ravel()))
+
+    def split(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return xi[: self.u2.size].reshape(self.u2.shape), xi[self.u2.size:].reshape(self.u3.shape)
+
+    def hessian(self, xi: np.ndarray) -> np.ndarray:
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        # the tangent part only: the (e U^T) xi term would grow any rounding off the
+        # tangent space by |e U^T| (about 2 ||core||^2) per product, and stall truncated CG
+        x2, x3 = self.split(self._project(*self.split(xi)))
+        # contiguous transposes: numpy runs these small products about twice as fast
+        x2t, x3t = np.ascontiguousarray(x2.T), np.ascontiguousarray(x3.T)
+        da2 = (self.ru3.reshape(-1, m) @ x2t).reshape(-1, l3, l2)
+        da3 = (self.ru2.reshape(-1, k) @ x3t).reshape(-1, l2, l3).transpose(0, 2, 1)
+        da = (da2 + da3).reshape(-1, l3 * l2)
+        ds = da.T @ self.a
+        gaps = self.lam[None, :] - self.lam_[:, None]
+        x = self.w_ @ ((self.w_.T @ (ds + ds.T) @ self.w) / gaps)  # W_ X
+        # dH = (W (dA W + A W_ X)^T + W_ X (A W)^T) R(1)
+        de2, de3 = self._contract((da @ self.w + self.a @ x) @ self.w.T + self.aw @ x.T)
+        # e2 and e3 moved through U3 and U2 themselves: H = W T contracted with xi3 and xi2
+        w, (t, t_) = self.w.reshape(l3, l2, -1), self._t
+        de2 += 2 * np.einsum("cba,ajc->bj", w, (t @ x3t).reshape(-1, m, l3))
+        de3 += 2 * np.einsum("cba,bak->ck", w, (x2 @ t_).reshape(l2, -1, k))
+        shift2, shift3 = (self.e2 @ self.u2.T) @ x2, (self.e3 @ self.u3.T) @ x3
+        return self._project(de2, de3) - np.concatenate((shift2.ravel(), shift3.ravel()))
 
 
 def hosvd_init(t: Tensor3, ranks) -> TuckerModel:
@@ -278,6 +341,41 @@ def hosvd_init(t: Tensor3, ranks) -> TuckerModel:
     return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
 
 
+def _retract(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of u + xi (QR retraction)."""
+    return np.linalg.qr((u + xi).T)[0].T
+
+
+def _truncated_cg(point: _CoreNorm, radius: float, floor: float) -> tuple[np.ndarray, float]:
+    """Steihaug-Toint truncated CG on the model f + <g, eta> + <eta, H eta>/2, maximized.
+
+    Returns the step eta, inside the trust region of `radius`, and the model's
+    predicted increase.  Stops at the region's boundary, on non-negative
+    curvature, or once the model's gradient g + H eta has fallen to
+    |g| min(|g|^TR_THETA, TR_KAPPA).
+    """
+    g = point.grad
+    eta, h_eta, r = np.zeros_like(g), np.zeros_like(g), g.copy()
+    d, rr = r.copy(), float(r @ r)
+    stop = max(np.sqrt(rr) * min(np.sqrt(rr) ** TR_THETA, TR_KAPPA), floor)
+    for _ in range(g.size):
+        if np.sqrt(rr) <= stop:
+            break
+        hd = point.hessian(d)
+        curvature = float(d @ hd)
+        if curvature >= 0 or np.linalg.norm(eta + (rr / -curvature) * d) >= radius:
+            # to the boundary along d: the positive root of |eta + tau d| = radius
+            ed, dd = float(eta @ d), float(d @ d)
+            tau = (np.sqrt(ed * ed + dd * (radius * radius - float(eta @ eta))) - ed) / dd
+            eta, h_eta = eta + tau * d, h_eta + tau * hd
+            break
+        alpha = rr / -curvature
+        eta, h_eta, r = eta + alpha * d, h_eta + alpha * hd, r + alpha * hd
+        rr, previous = float(r @ r), rr
+        d = r + (rr / previous) * d
+    return eta, float(g @ eta + 0.5 * (eta @ h_eta))
+
+
 def hooi(
     t: Tensor3,
     ranks,
@@ -285,16 +383,17 @@ def hooi(
     tol: float = DEFAULT_TOL,
     factor_tol: float = DEFAULT_FACTOR_TOL,
 ) -> tuple[TuckerModel, FitReport]:
-    """Higher-order orthogonal iteration from an HOSVD start.
+    """Higher-order orthogonal iteration from an HOSVD start, finished by a trust region.
 
     Each sweep updates every factor to the leading left singular vectors
-    of the contracted unfolding, then re-solves the core.  Stops when the
-    change of the relative reconstruction error (residual Frobenius norm over
-    the input norm) falls below `tol` and the largest entrywise factor change
-    of the sweep falls below `factor_tol`.  The residual alone flattens long
-    before near-degenerate trailing components stop rotating; the regression
-    fixed point that :func:`self_consistency_check` certifies is reached only
-    once the factors themselves stop moving.
+    of the contracted unfolding, then re-solves the core.  Plain sweeps run
+    until the change of the relative reconstruction error (residual
+    Frobenius norm over the input norm) falls below `tol`; the fit stops
+    there if the largest entrywise factor change of the sweep is also below
+    `factor_tol`.  The residual alone flattens long before near-degenerate
+    trailing components stop rotating; the regression fixed point that
+    :func:`self_consistency_check` certifies is reached only once the
+    factors themselves stop moving.
 
     Each sweep contracts the data once.  The sweeps run on R from one QR,
     unfold(t, 1) = Q R, of which only R is formed, so mode 1 has
@@ -308,15 +407,21 @@ def hooi(
     of U1 takes the same lift, and the returned core is recomputed from the
     returned factors.
 
-    Once the residual criterion holds but the factors still move, the slow
-    linear tail is extrapolated.  With the last ANDERSON_WINDOW + 1 kept
-    sweeps on record, every plain sweep is followed by one that starts from
-    an Anderson extrapolation of their mode-2/3 projectors U^T U (which,
-    unlike the factors, carry no basis or sign), retracted to its top
-    eigenvectors.  An extrapolated sweep is kept only if the core norm, and
-    hence the fit, did not fall; otherwise the history is dropped and the
-    iteration resumes from the last kept sweep.  The run stops only after a
-    plain sweep, so both criteria keep their meaning.
+    Where the residual criterion holds but the factors still move, plain
+    sweeps would close the rest of the way linearly, at about 0.995 per
+    sweep.  Instead a Riemannian trust region (Absil, Baker & Gallivan 2007)
+    maximizes ||core||^2 over the Grassmann pair (U2, U3) with U1 optimal,
+    on :class:`_CoreNorm`'s exact gradient and Hessian, each step from
+    :func:`_truncated_cg`.  A step is kept when the ratio of actual to
+    predicted increase, both offset by 1e3 eps |f| against cancellation,
+    exceeds 0.1; the radius is quartered below a ratio of 0.25 and doubled,
+    up to TR_RADIUS, above 0.75 at the boundary.  The fit stops once a kept
+    step moves U2 and U3, and then the U1 lift, by less than `factor_tol`.
+    One plain sweep from that point gives U2 and U3 in the sweeps' basis.
+    Where the L1-th and (L1+1)-th eigenvalues of A^T A meet (see
+    :class:`_CoreNorm`), the Hessian is undefined and the fit keeps
+    sweeping plainly.  `max_iter` bounds sweeps and trust-region steps
+    together.
     """
     ranks = _validate_ranks(t.dims, ranks)
     if max_iter < 1:
@@ -339,6 +444,13 @@ def hooi(
         """U1 from the data: the top-l1 left singular vectors of X(1) W, W from w2 and w3."""
         return _top_left_vectors(data.contracted(None, w2, w3, mode=1), l1)
 
+    def factor_change(moved: float, w, previous_w) -> float:
+        """moved, the U2/U3 change, or once that passes factor_tol the U1 lift's change too."""
+        if moved < factor_tol:
+            # U1 leaves the compressed coordinates only once U2 and U3 pass
+            moved = max(moved, float(np.max(np.abs(lift(*w) - lift(*previous_w)))))
+        return moved
+
     def residual(core_sq, core, v1, u2, u3) -> float:
         # orthonormal factors + projected core (axes 3, 1, 2): ||resid||^2 = ||x||^2 - ||core||^2;
         # recompute explicitly when cancellation would dominate
@@ -353,58 +465,71 @@ def hooi(
             raise FloatingPointError("non-finite values during HOOI iteration")
         return err
 
-    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core.transpose(2, 0, 1)
-    core_sq = float(np.sum(core * core))
-    history = [residual(core_sq, core, v1, u2, u3)]
     work = _ContractionKernel(compressed)
+    swapped = _ContractionKernel(compressed.transpose(0, 2, 1))
     eye = np.eye(l1)  # Z already carries the mode-1 factor
-    # the W that v1 came from: the HOSVD start's is the identity
-    w = (np.eye(m), np.eye(k))
-    pairs: deque = deque(maxlen=ANDERSON_WINDOW + 1)
-    accelerating = extrapolated = False
-    in2, in3 = u2, u3  # mode-2/3 factors the next sweep starts from
-    sweeps = accepted = rejected = 0
-    moved = None
-    stop_reason = "max_iter"
-    for _ in range(max_iter):
-        s1 = _top_left_vectors(work.contracted(v1, in2, in3, mode=1), l1)
+
+    def sweep(in2, in3):
+        """One plain sweep from (in2, in3): V1, U2, U3 and the projected core as (L3, L1, L2)."""
+        s1 = _top_left_vectors(work.contracted(None, in2, in3, mode=1), l1)
         z = _ContractionKernel((s1 @ r).reshape(l1, m, k))
         s2 = _top_left_vectors(z.contracted(eye, in2, in3, mode=2), l2)
         contracted3 = z.contracted(eye, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
-        # projected core from the mode-3 contraction, kept unfolded: (L3, L1, L2)
-        s_core = (s3 @ contracted3).reshape(l3, l1, l2)
-        s_core_sq = float(np.vdot(s_core, s_core))
-        sweeps += 1
-        if extrapolated and s_core_sq < core_sq:
-            # the extrapolation lost fit: drop it with its history, resume plainly
-            rejected += 1
-            pairs.clear()
-            in2, in3, extrapolated = u2, u3, False
-            continue
-        accepted += extrapolated
-        previous = (w, u2, u3)
-        v1, w, u2, u3, core, core_sq = s1, (in2, in3), s2, s3, s_core, s_core_sq
-        history.append(residual(core_sq, core, v1, u2, u3))
-        if not extrapolated and abs(history[-2] - history[-1]) / scale < tol:
-            moved = max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), previous[1:]))
-            if moved < factor_tol:
-                # U1 leaves the compressed coordinates only once U2 and U3 pass
-                moved = max(moved, float(np.max(np.abs(lift(*w) - lift(*previous[0])))))
+        return s1, s2, s3, (s3 @ contracted3).reshape(l3, l1, l2)
+
+    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core.transpose(2, 0, 1)
+    history = [residual(float(np.sum(core * core)), core, v1, u2, u3)]
+    # the W that v1 came from: the HOSVD start's is the identity
+    w = (np.eye(m), np.eye(k))
+    point = None  # the trust region's current point, once it has taken over
+    radius = TR_RADIUS
+    sweeps = newton_steps = 0
+    moved = gradient_norm = None
+    stop_reason = "max_iter"
+    for _ in range(max_iter):
+        if point is not None:
+            noise = 1e3 * np.finfo(float).eps * abs(point.f)  # rounding level of f and its gradient
+            step, predicted = _truncated_cg(point, radius, noise)
+            step2, step3 = point.split(step)
+            trial = _CoreNorm(work, swapped, _retract(u2, step2), _retract(u3, step3), l1)
+            rho = (trial.f - point.f + noise) / (predicted + noise)
+            if rho < 0.25:
+                radius /= 4
+            elif rho > 0.75 and np.linalg.norm(step) >= 0.99 * radius:
+                radius = min(2 * radius, TR_RADIUS)
+            if not rho > 0.1:
+                continue
+            newton_steps += 1
+            moved = factor_change(float(np.max(np.abs(step))), (trial.u2, trial.u3), (u2, u3))
+            u2, u3, point = trial.u2, trial.u3, trial
+            w = (u2, u3)  # V1 is the point's own optimal U1
+            gradient_norm = float(np.linalg.norm(point.grad))
             if moved < factor_tol:
                 stop_reason = "factor_tol"
                 break
-            accelerating = True
-        if accelerating:
-            pairs.append((_projectors(in2, in3), _projectors(u2, u3)))
-            if not extrapolated and len(pairs) == pairs.maxlen:
-                x = _anderson(pairs)
-                in2 = _top_eigenvectors(x[: m * m].reshape(m, m), l2)
-                in3 = _top_eigenvectors(x[m * m:].reshape(k, k), l3)
-                extrapolated = True
-                continue
-        in2, in3, extrapolated = u2, u3, False
+            if point.degenerate:
+                point = None
+            continue
+        previous_w, w = w, (u2, u3)
+        v1, u2, u3, core = sweep(*w)
+        sweeps += 1
+        history.append(residual(float(np.vdot(core, core)), core, v1, u2, u3))
+        if abs(history[-2] - history[-1]) / scale < tol:
+            moved = factor_change(max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), w)),
+                                  w, previous_w)
+            if moved < factor_tol:
+                stop_reason = "factor_tol"
+                break
+            point = _CoreNorm(work, swapped, u2, u3, l1)
+            if point.degenerate:
+                point = None
 
+    if w[0] is u2:
+        # the last iterate is the trust region's: one sweep puts U2 and U3 in the sweeps' basis
+        v1, u2, u3, core = sweep(u2, u3)
+        sweeps += 1
+        history.append(residual(float(np.vdot(core, core)), core, v1, u2, u3))
     u1 = lift(*w)
     core = _fold_core(u1 @ data.contracted(u1, u2, u3, mode=1), 1, ranks)
     model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)
@@ -413,9 +538,9 @@ def hooi(
         residual_history=np.array(history),
         converged=stop_reason != "max_iter",
         stop_reason=stop_reason,
-        extrapolations_accepted=accepted,
-        extrapolations_rejected=rejected,
+        newton_steps=newton_steps,
         final_factor_change=moved,
+        final_gradient_norm=gradient_norm,
     )
     return model, report
 
@@ -478,11 +603,11 @@ def posterior_stats(
 
 def _noise_precision(resid: np.ndarray) -> float:
     ssq = float(np.sum(resid * resid))
-    return BETA_CAP if ssq == 0.0 else resid.size / ssq
+    return min(resid.size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP
 
 
 def estimate_beta(t: Tensor3, model: TuckerModel) -> float:
-    """Noise precision from the mean squared residual; capped at 1e12 for exact fits."""
+    """Noise precision from the mean squared residual, capped at BETA_CAP for near-exact fits."""
     return _noise_precision(t.values - reconstruct(model).values)
 
 

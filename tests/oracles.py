@@ -39,7 +39,7 @@ def reference_top_vectors(y, rank):
 def reference_hooi(t, ranks, max_iter, tol, factor_tol):
     """Textbook HOOI: einsum contractions and linalg.svd top vectors on the full tensor.
 
-    No compression and no extrapolation; starts from the textbook HOSVD and
+    No compression and no trust-region finish; starts from the textbook HOSVD and
     stops by the same two criteria as hooi.  Returns (model, residual history).
     """
     x = t.values
@@ -65,6 +65,13 @@ def reference_hooi(t, ranks, max_iter, tol, factor_tol):
                 and max(np.max(np.abs(a - b)) for a, b in zip(u, previous)) < factor_tol):
             break
     return TuckerModel(core=core, u1=u[0], u2=u[1], u3=u[2]), np.array(history)
+
+
+def reference_core_norm(t, u2, u3, l1):
+    """||core||^2 at (u2, u3) with u1 the top-l1 left singular vectors of the mode-1 contraction."""
+    y = np.einsum("ijk,bj,ck->ibc", t.values, u2, u3, optimize=True)
+    core = np.einsum("ibc,ai->abc", y, reference_top_vectors(y, l1), optimize=True)
+    return float(np.sum(core * core))
 
 
 def reference_core_regression(t, u1, u2, u3):

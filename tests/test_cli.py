@@ -89,10 +89,15 @@ class TestConfig:
         ("synthetic-block", {"factor_tol": 0}, "factor_tol"),
         ("synthetic-block", {"max_iter": 10}, "max_iter"),
         ("custom", {"components": [10**400]}, "components"),
+        ("synthetic-block", {"seed": -1}, "seed"),
+        ("synthetic-block", {"seed": 2**64}, "seed"),
+        ("synthetic-block", {"seed": 10**399}, "seed"),
+        ("synthetic-block", {"seed": 2**64 - 1, "ensembles": 2}, "seed"),
     ], ids=["unknown-key", "seed-key", "float-for-int", "string-for-float", "bool-for-float",
             "int-for-tuple", "float-in-tuple", "experiment", "negative-alpha", "nan-alpha",
             "inf-alpha", "n-components-below-1", "solver", "tol", "factor-tol", "max-iter",
-            "huge-component-custom"])
+            "huge-component-custom", "negative-seed", "seed-2**64", "400-digit-seed",
+            "last-member-seed-2**64"])
     def test_config_mistake_exits_1_naming_the_field(self, tmp_path, capsys, experiment, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -101,6 +106,19 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
+
+    @pytest.mark.parametrize("text", ['{"threshold": ', '{"threshold": 1' + "0" * 5000 + "}"],
+                             ids=["truncated", "5001-digit-threshold"])
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, text):
+        # a number past int()'s 4300-digit conversion limit is unparsable like any broken JSON
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["generate", "--experiment", "synthetic-block", "--config", str(path),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
 
     def test_readme_settings_table_lists_the_fields(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -171,6 +189,7 @@ class TestDecompose:
         assert code == 0
         out = capsys.readouterr().out
         assert "stop factor_tol" in out and "self_consistent True" in out
+        assert "newton_steps " in out and "gradient_norm " in out
 
     def test_positive_alpha_certifies_the_fit(self, tmp_path, small_config, capsys):
         # the HOOI fit is the alpha = 0 fixed point whatever alpha is; alpha is selection's prior

@@ -1,16 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import btucker
 from btucker import datagen, linalg
 from btucker.cli import build_config
 from btucker.decomp import (
+    BETA_CAP,
     DEFAULT_FACTOR_TOL,
     DEFAULT_TOL,
     SELF_CONSISTENCY_TOL,
     FitReport,
     TuckerModel,
+    _ContractionKernel,
+    _CoreNorm,
     _top_left_vectors,
     btud_fit,
     core_regression,
@@ -27,6 +35,7 @@ from btucker.tensor import Tensor3, frobenius_norm, reconstruct, unfold
 from oracles import (
     design_matrix,
     reference_btud_fit,
+    reference_core_norm,
     reference_hooi,
     reference_posterior,
 )
@@ -168,6 +177,21 @@ class TestHooi:
         core = core_regression(t, model.u1, model.u2, model.u3)
         assert np.max(np.abs(model.core - core)) <= 1e-12
 
+    def test_degenerate_gap_keeps_sweeping_plainly(self):
+        # mode-1 rank 2 at L1 = 3: the 3rd and 4th eigenvalues of A^T A are both zero, so
+        # the Hessian is undefined and the fit must end by plain sweeps, those of the reference
+        # (whose arbitrary third U1 row keeps it from stopping by itself)
+        rng = np.random.default_rng(72)
+        t = Tensor3(np.einsum("ai,ajk->ijk", rng.normal(size=(2, 12)), rng.normal(size=(2, 6, 5))))
+        with np.errstate(all="raise"):
+            model, report = hooi(t, (3, 2, 2))
+        assert report.stop_reason == "factor_tol" and report.newton_steps == 0
+        assert report.final_gradient_norm is None and report.sweeps > 100
+        expected, _ = reference_hooi(t, (3, 2, 2), max_iter=report.sweeps, tol=DEFAULT_TOL,
+                                     factor_tol=DEFAULT_FACTOR_TOL)
+        for got, want in ((model.u2, expected.u2), (model.u3, expected.u3)):
+            assert np.max(np.abs(got - want)) < 1e-10
+
     @pytest.mark.parametrize("dims, ranks", [((10, 8, 6), (3, 3, 3)), ((30, 8, 6), (3, 2, 2))],
                              ids=["10x8x6", "30x8x6"])
     def test_default_fit_reaches_the_certified_fixed_point(self, dims, ranks):
@@ -175,7 +199,7 @@ class TestHooi:
         model, report = hooi(t, ranks)
         assert report.converged and report.stop_reason == "factor_tol"
         assert report.final_factor_change < DEFAULT_FACTOR_TOL
-        assert report.sweeps == report.residual_history.size - 1 + report.extrapolations_rejected
+        assert report.sweeps == report.residual_history.size - 1
         check = self_consistency_check(t, model, alpha=0.0, beta=estimate_beta(t, model))
         assert check.tol == SELF_CONSISTENCY_TOL and check.self_consistent
 
@@ -214,11 +238,89 @@ class TestAcceleratedHooi:
         for got, want in zip((model.u1, model.u2, model.u3), (expected.u1, expected.u2, expected.u3)):
             assert np.max(np.abs(got - want)) < 1e-4
 
-    def test_extrapolates_and_stays_monotone(self, preset_fits):
+    def test_finishes_by_newton_steps_and_stays_monotone(self, preset_fits):
         _, report, _, _, _ = preset_fits
-        assert report.extrapolations_accepted >= 1
+        assert report.newton_steps >= 1 and report.final_gradient_norm < 1e-6
         assert np.all(np.diff(report.residual_history) <= 1e-7)
-        assert report.sweeps == report.residual_history.size - 1 + report.extrapolations_rejected
+        assert report.sweeps == report.residual_history.size - 1
+
+
+class TestCoreNorm:
+    """hooi's trust-region kernel against central differences of the reference ||core||^2."""
+
+    def test_value_gradient_and_hessian(self):
+        t = planted_tensor((12, 6, 5), (3, 2, 2), noise=0.3, seed=60)
+        start = hosvd_init(t, (3, 2, 2))
+        u2, u3 = start.u2, start.u3
+        work, swapped = _ContractionKernel(t.values), _ContractionKernel(t.values.transpose(0, 2, 1))
+
+        def at(v2, v3):
+            return _CoreNorm(work, swapped, v2, v3, 3)
+
+        def retract(u, xi):  # QR with a positive diagonal, so the basis moves continuously
+            q, r = np.linalg.qr((u + xi).T)
+            return (q * np.sign(np.diag(r))).T
+
+        def moved(s):
+            return retract(u2, s * x2), retract(u3, s * x3)
+
+        def gradient_at_u(s):  # the gradient at the moved point, projected at (u2, u3)
+            there = at(*moved(s))
+            g2, g3 = there.split(there.grad)
+            return np.concatenate(((g2 - g2 @ u2.T @ u2).ravel(), (g3 - g3 @ u3.T @ u3).ravel()))
+
+        rng = np.random.default_rng(61)
+        point = at(u2, u3)
+        assert point.f == pytest.approx(reference_core_norm(t, u2, u3, 3), rel=1e-12)
+        xi, eta = (point._project(rng.normal(size=u2.shape), rng.normal(size=u3.shape))
+                   for _ in range(2))
+        x2, x3 = point.split(xi)
+        h = 1e-5
+        f = [reference_core_norm(t, *moved(s), 3) for s in (-h, 0.0, h)]
+        assert (f[2] - f[0]) / (2 * h) == pytest.approx(point.grad @ xi, rel=1e-6)
+        hess_xi = point.hessian(xi)
+        assert (f[2] - 2 * f[1] + f[0]) / h**2 == pytest.approx(xi @ hess_xi, rel=1e-4)
+        difference = (gradient_at_u(h) - gradient_at_u(-h)) / (2 * h)
+        assert np.linalg.norm(difference - hess_xi) <= 1e-6 * np.linalg.norm(hess_xi)
+        assert eta @ hess_xi == pytest.approx(xi @ point.hessian(eta), rel=1e-10)
+        # a direction off the tangent space, mixing each factor's rows, moves nothing
+        vertical = np.concatenate(((rng.normal(size=(2, 2)) @ u2).ravel(),
+                                   (rng.normal(size=(2, 2)) @ u3).ravel()))
+        assert np.linalg.norm(point.hessian(vertical)) <= 1e-10 * np.linalg.norm(hess_xi)
+
+
+# Fits the preset's seeds 1000 and 1001 and saves their factors to the .npz file named by argv[1].
+PRESET_FACTORS_SCRIPT = """
+import sys
+import numpy as np
+from btucker import cli, datagen, decomp
+cfg = cli.build_config("synthetic-block")
+factors = []
+for seed in (1000, 1001):
+    t, _ = datagen.gen_synthetic_block(datagen.SyntheticBlockParams(seed=seed))
+    model, _ = decomp.hooi(t, cfg.ranks)
+    factors += [model.u1, model.u2, model.u3]
+np.savez(sys.argv[1], *factors)
+"""
+
+
+class TestThreadIndependence:
+    def test_preset_fits_agree_across_blas_thread_counts(self, tmp_path):
+        # the fit ends at the fixed point to rounding, not wherever a linear tail stopped
+        src = str(Path(btucker.__file__).parents[1])
+        fits = []
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": path}
+            out = tmp_path / f"threads-{threads}.npz"
+            subprocess.run([sys.executable, "-c", PRESET_FACTORS_SCRIPT, str(out)], env=env,
+                           check=True)
+            with np.load(out) as saved:
+                fits.append([saved[name] for name in saved.files])
+        assert len(fits[0]) == 6
+        for one, two in zip(*fits):
+            assert np.max(np.abs(one - two)) <= 1e-10
 
 
 class TestBtudMatchesReference:
@@ -429,6 +531,18 @@ class TestEstimateBeta:
         t = reconstruct(model)
         assert estimate_beta(t, model) == 1e12
 
+    @pytest.mark.parametrize("scale, size", [(1.0, 1e-10), (1e-150, 1e-160)],
+                             ids=["1e-10", "underflowing-square"])
+    def test_near_exact_fit_cap(self, tmp_path, scale, size):
+        # size / ssq would be 1e20, or inf once the squares underflow: both report the cap
+        model = random_model((4, 4, 4), (2, 2, 2), seed=28)
+        model = TuckerModel(core=scale * model.core, u1=model.u1, u2=model.u2, u3=model.u3)
+        signs = np.where(np.arange(64).reshape(4, 4, 4) % 2 == 0, size, -size)
+        beta = estimate_beta(Tensor3(reconstruct(model).values + signs), model)
+        assert beta == BETA_CAP
+        save_model(model, tmp_path / "model.json", beta=beta)
+        assert load_model(tmp_path / "model.json")[1]["beta"] == BETA_CAP
+
     def test_naive_loop_oracle(self):
         model = random_model((4, 3, 3), (2, 2, 2), seed=29)
         t = random_tensor((4, 3, 3), seed=30)
@@ -572,6 +686,7 @@ class TestModelSerialization:
         save_model(model, path, report=unmeasured)
         fit = json.loads(path.read_text(), parse_constant=reject_constant)["fit_report"]
         assert unmeasured.final_factor_change is None and fit["final_factor_change"] is None
+        assert fit["newton_steps"] == 0 and fit["final_gradient_norm"] is None
         unfinite = FitReport(sweeps=0, residual_history=np.array([np.nan]),
                              converged=False, stop_reason="max_iter")
         with pytest.raises(ValueError):
