@@ -16,8 +16,8 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -262,19 +262,6 @@ def confusion_counts(selected: np.ndarray, truth: np.ndarray) -> tuple[int, int,
     return tn, fn, fp, tp
 
 
-@dataclass
-class ConfusionReport:
-    tn: float
-    fn: float
-    fp: float
-    tp: float
-    ensembles: int
-    rows: list
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def run_member(cfg: ExperimentConfig, seed: int) -> dict:
     """One full generate -> decompose -> select -> evaluate pass, in memory."""
     kind, data, truth = generate_data(cfg, seed)
@@ -290,19 +277,6 @@ def run_member(cfg: ExperimentConfig, seed: int) -> dict:
     if truth is not None:
         out["confusion"] = confusion_counts(result.selected, truth)
     return out
-
-
-def _member_worker(args) -> dict:
-    cfg_fields, seed = args
-    cfg = ExperimentConfig(**cfg_fields)
-    out = run_member(cfg, seed)
-    # keep only the picklable summary pieces used for aggregation
-    slim = {"seed": seed, "selected_count": out["selected_count"]}
-    if "confusion" in out:
-        slim["confusion"] = out["confusion"]
-    if "report" in out:
-        slim["self_consistent"] = out["report"].self_consistent
-    return slim
 
 
 def _sha256(path) -> str:
@@ -341,9 +315,7 @@ def cmd_decompose(data_path: Path, cfg: ExperimentConfig, out_dir: Path) -> int:
     t = tensor.read_tensor(data_path)
     model, report, beta = decompose_tensor(t, cfg)
     decomp.save_model(model, out_dir / "model.json", beta=beta, alpha=cfg.alpha, report=report)
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    tensor.write_json(report.to_dict(), out_dir / "report.json", indent=1)
     print(
         f"sweeps {report.sweeps} converged {report.converged} "
         f"stop {report.stop_reason} newton_steps {report.newton_steps} "
@@ -374,32 +346,29 @@ def cmd_evaluate(selection_path: Path, truth_path: Path, out_path: Path) -> int:
     result = select.read_selection_csv(selection_path)
     truth = datagen.read_truth_csv(truth_path)
     tn, fn, fp, tp = confusion_counts(result.selected, truth)
-    report = ConfusionReport(tn=tn, fn=fn, fp=fp, tp=tp, ensembles=1, rows=[[tn, fn, fp, tp]])
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
+    tensor.write_json({"tn": tn, "fn": fn, "fp": fp, "tp": tp, "ensembles": 1,
+                       "rows": [[tn, fn, fp, tp]]}, out_path, indent=1)
     print(f"tn {tn} fn {fn} fp {fp} tp {tp}")
     return EXIT_OK
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(dataclasses.asdict(cfg), cfg.seed + e) for e in range(cfg.ensembles)]
+    run = functools.partial(run_member, cfg)
+    seeds = range(cfg.seed, cfg.seed + cfg.ensembles)
     members: list[dict] = []
+    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for member in pool.map(_member_worker, jobs):
-                    members.append(member)
-        else:
-            for job in jobs:
-                members.append(_member_worker(job))
+        for member in pool.map(run, seeds) if pool else map(run, seeds):
+            members.append(member)
     finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
         header = ["member", "seed", "selected", "tn", "fn", "fp", "tp"]
-        _write_csv(out_dir / "ensemble_members.csv", header,
-                   ([idx, m["seed"], m["selected_count"], *m.get("confusion", ("", "", "", ""))]
-                    for idx, m in enumerate(members)))
+        tensor.write_csv(out_dir / "ensemble_members.csv", header,
+                         ([idx, m["seed"], m["selected_count"], *m.get("confusion", ("",) * 4)]
+                          for idx, m in enumerate(members)))
 
     summary: dict = {
         "experiment": cfg.experiment,
@@ -411,17 +380,13 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
         rows = np.array([m["confusion"] for m in members], dtype=np.float64)
         mean = rows.mean(axis=0)
         sd = rows.std(axis=0, ddof=1) if rows.shape[0] > 1 else np.zeros(4)
-        report = ConfusionReport(
-            tn=float(mean[0]), fn=float(mean[1]), fp=float(mean[2]), tp=float(mean[3]),
-            ensembles=len(members), rows=rows.astype(int).tolist(),
-        )
-        summary["confusion_mean"] = {"tn": report.tn, "fn": report.fn, "fp": report.fp, "tp": report.tp}
-        summary["confusion_sd"] = {k: float(v) for k, v in zip(("tn", "fn", "fp", "tp"), sd)}
-    if members and "self_consistent" in members[0]:
-        summary["self_consistent_members"] = sum(m["self_consistent"] is True for m in members)
-    with open(out_dir / "ensemble_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+        names = ("tn", "fn", "fp", "tp")
+        summary["confusion_mean"] = dict(zip(names, map(float, mean)))
+        summary["confusion_sd"] = dict(zip(names, map(float, sd)))
+    if members and "report" in members[0]:
+        summary["self_consistent_members"] = sum(m["report"].self_consistent is True
+                                                 for m in members)
+    tensor.write_json(summary, out_dir / "ensemble_summary.json", indent=1)
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -443,42 +408,27 @@ def cmd_report(cfg: ExperimentConfig, run_dir: Path) -> int:
         if not model_path.exists():
             raise OSError(f"missing model.json under {run_dir}")
         model, _ = decomp.load_model(model_path)
-        _write_csv(run_dir / "u1i.csv", ["feature_index", "u1", "truth", "selected"],
-                   zip(index, map(_fmt, model.u1[0]), truth_col, selected, strict=True))
+        tensor.write_csv(run_dir / "u1i.csv", ["feature_index", "u1", "truth", "selected"],
+                         zip(index, model.u1[0], truth_col, selected, strict=True))
         for name, u in (("j", model.u2), ("k", model.u3)):
             groups = [1 if i < u.shape[1] // 2 else 2 for i in range(u.shape[1])]
-            _write_csv(run_dir / f"u1{name}.csv", [name, "value", "group"],
-                       zip(range(1, u.shape[1] + 1), map(_fmt, u[0]), groups, strict=True))
+            tensor.write_csv(run_dir / f"u1{name}.csv", [name, "value", "group"],
+                             zip(range(1, u.shape[1] + 1), u[0], groups, strict=True))
     else:
         # matrix runs keep no model file; factors come from the matrix the selection scored
         x = select.scored_matrix(tensor.read_matrix(data_path), cfg.selection_mode)
         svd = linalg.svd(x, rank=2)
         u, v = (np.pad(a, ((0, 0), (0, 2 - svd.rank))) for a in (svd.U, svd.V))  # u2 = 0 at rank 1
-        header = ["feature_index", "u1i", "u2i", "truth", "selected"]
-        _write_csv(run_dir / "u1u2_scatter.csv", header,
-                   zip(index, map(_fmt, u[:, 0]), map(_fmt, u[:, 1]), truth_col, selected,
-                       strict=True))
-        _write_csv(run_dir / "uj_series.csv", ["j", "u1j", "u2j"],
-                   zip(range(1, v.shape[0] + 1), map(_fmt, v[:, 0]), map(_fmt, v[:, 1]),
-                       strict=True))
-        idx = np.arange(1, selected.size + 1)
-        np.savetxt(run_dir / "selected_rows.csv", idx[selected == 1], fmt="%d",
-                   header="feature_index", comments="")
-        np.savetxt(run_dir / "unselected_rows.csv", idx[selected == 0], fmt="%d",
-                   header="feature_index", comments="")
+        tensor.write_csv(run_dir / "u1u2_scatter.csv",
+                         ["feature_index", "u1i", "u2i", "truth", "selected"],
+                         zip(index, u[:, 0], u[:, 1], truth_col, selected, strict=True))
+        tensor.write_csv(run_dir / "uj_series.csv", ["j", "u1j", "u2j"],
+                         zip(range(1, v.shape[0] + 1), v[:, 0], v[:, 1], strict=True))
+        for name, flag in (("selected_rows.csv", 1), ("unselected_rows.csv", 0)):
+            tensor.write_csv(run_dir / name, ["feature_index"],
+                             ([i] for i, chosen in zip(index, selected) if chosen == flag))
     print(f"report CSVs written to {run_dir}")
     return EXIT_OK
-
-
-def _fmt(value) -> str:
-    return format(value, ".17g")
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

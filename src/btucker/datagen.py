@@ -24,7 +24,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import DivergenceError, FileFormatError
-from .tensor import Tensor3, _read_utf8
+from .tensor import Tensor3, _read_utf8, write_csv
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -37,12 +37,12 @@ _PURPOSE_GCM_NONLINEARITY = 3
 _PURPOSE_GCM_INITIAL = 4
 _PURPOSE_GCM_COUPLING_ROW = 5
 
-_MASK64 = (1 << 64) - 1
-
 
 def _substream(seed: int, purpose: int, row: int = 0) -> Generator:
-    key = np.array([seed & _MASK64, ((purpose << 32) | row) & _MASK64], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    """The stream of one (seed, purpose, row); every draw of every generator comes from one."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    return Generator(Philox(key=np.array([seed, (purpose << 32) | row], dtype=np.uint64)))
 
 
 def _normals(gen: Generator, n: int) -> np.ndarray:
@@ -178,11 +178,7 @@ def simulate_rcs_gcm(p: GcmParams) -> np.ndarray:
 
 def write_truth_csv(mask: np.ndarray, path) -> None:
     """Ground-truth mask as a one-column CSV of 0/1 flags."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["truth"])
-        for v in np.asarray(mask, dtype=bool):
-            w.writerow([int(v)])
+    write_csv(path, ["truth"], ([int(v)] for v in np.asarray(mask, dtype=bool)))
 
 
 def read_truth_csv(path) -> np.ndarray:

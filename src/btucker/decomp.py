@@ -12,8 +12,8 @@ with the least-squares core of the factors, which every solver here returns.
 
 Every contraction of the data goes through one kernel, Y(m): the data
 contracted with the factors of the two other modes b, c and unfolded along
-mode m.  With G(m) the core unfolded in the same column order, for any
-factors, orthonormal or not,
+mode m as :func:`~btucker.tensor.unfold` orders its columns.  With G(m) the
+core unfolded the same way, for any factors, orthonormal or not,
 
     Phi(m)^T X(m)^T = G(m) Y(m)^T,
     Phi(m)^T Phi(m) = G(m) (Ub Ub^T kron Uc Uc^T) G(m)^T,
@@ -39,7 +39,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateComponentError, DegenerateRowError, FileFormatError
-from .tensor import Tensor3, _read_utf8, frobenius_norm, reconstruct, unfold
+from .tensor import (UNFOLD_AXES, Tensor3, _folding, _read_utf8, _unfolding, frobenius_norm,
+                     reconstruct, unfold, write_json)
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
 BETA_CAP = 1e12            # largest reported noise precision, reached by near-exact fits
@@ -169,10 +170,6 @@ def _validate_ranks(dims, ranks) -> tuple[int, int, int]:
     return ranks
 
 
-# Per mode: (mode, p, q), the axes of the kernel's permuted copy of the data.
-_KERNEL_AXES = {1: (0, 1, 2), 2: (1, 2, 0), 3: (2, 1, 0)}
-
-
 class _ContractionKernel:
     """The one contraction of the data that every solver and posterior here uses.
 
@@ -180,9 +177,9 @@ class _ContractionKernel:
     the factors of its axes q, then p (u_m is ignored), as two matrix
     products on a contiguous permuted copy made on first use of the mode
     (the first one wide, u_q times the transposed copy, which BLAS runs
-    faster than the same product taken tall).  Columns run over (q, p), p
-    fastest, as in :func:`_core_unfolding`; the left singular vectors HOOI
-    takes do not depend on the column order.
+    faster than the same product taken tall), with (mode, p, q) from
+    :data:`~btucker.tensor.UNFOLD_AXES`.  Columns run over (q, p), p fastest,
+    as in :func:`~btucker.tensor.unfold` and the core's G(m).
     """
 
     def __init__(self, v: np.ndarray):
@@ -190,7 +187,7 @@ class _ContractionKernel:
         self._copies: dict[int, np.ndarray] = {}
 
     def contracted(self, u1, u2, u3, mode: int) -> np.ndarray:
-        _, p, q = axes = _KERNEL_AXES[mode]
+        _, p, q = axes = UNFOLD_AXES[mode]
         x = self._copies.get(mode)
         if x is None:
             x = self._copies[mode] = np.ascontiguousarray(self.values.transpose(axes))
@@ -200,21 +197,9 @@ class _ContractionKernel:
         return y.reshape(-1, d, y.shape[1]).transpose(1, 0, 2).reshape(d, -1)
 
 
-def _core_unfolding(core: np.ndarray, mode: int) -> np.ndarray:
-    """G(m): the core unfolded along `mode` in the column order of the kernel's Y(m)."""
-    m, p, q = _KERNEL_AXES[mode]
-    return core.transpose(m, q, p).reshape(core.shape[m], -1)
-
-
-def _fold_core(g: np.ndarray, mode: int, ranks) -> np.ndarray:
-    """Inverse of :func:`_core_unfolding` for a core of shape `ranks`."""
-    m, p, q = _KERNEL_AXES[mode]
-    return g.reshape(ranks[m], ranks[q], ranks[p]).transpose(np.argsort((m, q, p)))
-
-
 def _kron_gram(factors, mode: int) -> np.ndarray:
     """Ub Ub^T kron Uc Uc^T over the two other modes, so Phi^T Phi = G(m) (this) G(m)^T."""
-    _, p, q = _KERNEL_AXES[mode]
+    _, p, q = UNFOLD_AXES[mode]
     return np.kron(factors[q] @ factors[q].T, factors[p] @ factors[p].T)
 
 
@@ -230,10 +215,11 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
     Eigendecomposes the smaller Gram matrix, b b^T when b is wide and b^T b
     (mapped back through b) when it is tall, as long as the kept spectrum is
     well away from the squared-condition noise floor; falls back to the SVD
-    otherwise.  There, the vectors of squared singular values below the same
-    floor are rounding noise, so they are replaced by the identity's first
-    columns orthonormalized against the others: the result then moves
-    continuously with b instead of jumping with its last bits.
+    otherwise.  There, the vectors of singular values at or below max(b.shape)
+    eps times the largest (np.linalg.matrix_rank's cutoff) are rounding noise,
+    so they are replaced by the identity's first columns orthonormalized
+    against the others: the result then moves continuously with b instead of
+    jumping with its last bits.
     """
     wide = b.shape[0] <= b.shape[1]
     vals, vecs = np.linalg.eigh(b @ b.T if wide else b.T @ b)
@@ -246,7 +232,7 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
             u = (b @ vecs[:, :rank]).T / np.sqrt(vals[:rank])[:, None]
     else:
         res = linalg.svd(b, rank=rank)
-        kept = res.U[:, res.s**2 > NOISE_FLOOR * res.s[0] ** 2]
+        kept = res.U[:, res.s > max(b.shape) * np.finfo(float).eps * res.s[0]]
         u = np.linalg.qr(np.hstack((kept, np.eye(b.shape[0], rank))))[0][:, :rank].T
     return u * linalg._sign_flips(u)[:, None]
 
@@ -452,14 +438,14 @@ def hooi(
         return moved
 
     def residual(core_sq, core, v1, u2, u3) -> float:
-        # orthonormal factors + projected core (axes 3, 1, 2): ||resid||^2 = ||x||^2 - ||core||^2;
+        # orthonormal factors + projected core (axes 3, 2, 1): ||resid||^2 = ||x||^2 - ||core||^2;
         # recompute explicitly when cancellation would dominate
         r2 = norm_x_sq - core_sq
         if not np.isfinite(r2):
             raise FloatingPointError("non-finite values during HOOI iteration")
         if r2 > (1e-6 * scale) ** 2:
             return float(np.sqrt(r2))
-        approx = np.einsum("cab,ai,bj,ck->ijk", core, v1, u2, u3, optimize=True)
+        approx = np.einsum("cba,ai,bj,ck->ijk", core, v1, u2, u3, optimize=True)
         err = float(np.linalg.norm((compressed - approx).ravel()))
         if not np.isfinite(err):
             raise FloatingPointError("non-finite values during HOOI iteration")
@@ -470,15 +456,15 @@ def hooi(
     eye = np.eye(l1)  # Z already carries the mode-1 factor
 
     def sweep(in2, in3):
-        """One plain sweep from (in2, in3): V1, U2, U3 and the projected core as (L3, L1, L2)."""
+        """One plain sweep from (in2, in3): V1, U2, U3 and the projected core as (L3, L2, L1)."""
         s1 = _top_left_vectors(work.contracted(None, in2, in3, mode=1), l1)
         z = _ContractionKernel((s1 @ r).reshape(l1, m, k))
         s2 = _top_left_vectors(z.contracted(eye, in2, in3, mode=2), l2)
         contracted3 = z.contracted(eye, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
-        return s1, s2, s3, (s3 @ contracted3).reshape(l3, l1, l2)
+        return s1, s2, s3, (s3 @ contracted3).reshape(l3, l2, l1)
 
-    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core.transpose(2, 0, 1)
+    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core.transpose(2, 1, 0)
     history = [residual(float(np.sum(core * core)), core, v1, u2, u3)]
     # the W that v1 came from: the HOSVD start's is the identity
     w = (np.eye(m), np.eye(k))
@@ -531,7 +517,7 @@ def hooi(
         sweeps += 1
         history.append(residual(float(np.vdot(core, core)), core, v1, u2, u3))
     u1 = lift(*w)
-    core = _fold_core(u1 @ data.contracted(u1, u2, u3, mode=1), 1, ranks)
+    core = _folding(u1 @ data.contracted(u1, u2, u3, mode=1), 1, ranks)
     model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)
     report = FitReport(
         sweeps=sweeps,
@@ -548,7 +534,7 @@ def hooi(
 def _least_squares_core(work: _ContractionKernel, u1, u2, u3) -> np.ndarray:
     """The data contracted with each factor's core-solve map, folded to the core's shape."""
     p = [_core_factor(u) for u in (u1, u2, u3)]
-    return _fold_core(p[2] @ work.contracted(*p, 3), 3, [u.shape[0] for u in p])
+    return _folding(p[2] @ work.contracted(*p, 3), 3, [u.shape[0] for u in p])
 
 
 def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
@@ -579,7 +565,7 @@ def _mode_posterior(work: _ContractionKernel, model: TuckerModel, mode: int,
     gram is Phi(m)^T Phi(m) (see the module docstring); the covariance is symmetrized.
     """
     factors = (model.u1, model.u2, model.u3)
-    g = _core_unfolding(model.core, mode)
+    g = _unfolding(model.core, mode)
     gram = g @ _kron_gram(factors, mode) @ g.T
     inv = linalg.pseudoinverse(gram + (alpha / beta) * np.eye(gram.shape[0]))
     cov = inv / beta
@@ -595,7 +581,7 @@ def posterior_stats(
     and cov = (alpha*I + beta*Phi^T Phi)^+ of shape (L, L); the mean is
     beta * cov @ Phi^T X^T, the least-squares solution at alpha = 0.
     """
-    if mode not in _KERNEL_AXES:
+    if mode not in UNFOLD_AXES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     _check_posterior_args(t, model, alpha, beta)
     return _mode_posterior(_ContractionKernel(t.values), model, mode, alpha, beta)
@@ -660,7 +646,7 @@ def btud_fit(
             other_gram = _kron_gram(factors, mode)
             u = factors[mode - 1]
             for comp in range(u.shape[0]):
-                g = _core_unfolding(core, mode)
+                g = _unfolding(core, mode)
                 ridge = linalg.pseudoinverse(g @ other_gram @ g.T + alpha * np.eye(g.shape[0]))
                 u[comp] = (ridge[comp] @ g) @ y.T
                 try:
@@ -668,7 +654,7 @@ def btud_fit(
                 except DegenerateRowError as exc:
                     raise DegenerateComponentError(mode, comp) from exc
                 u = factors[mode - 1]
-                core = _fold_core(_core_factor(u) @ y_core, mode, core.shape)
+                core = _folding(_core_factor(u) @ y_core, mode, core.shape)
         norm, beta = residual()
         history.append(norm)
         moved = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
@@ -752,9 +738,7 @@ def save_model(model: TuckerModel, path, beta: float | None = None,
         doc["beta"] = float(beta)
     if report is not None:
         doc["fit_report"] = report.to_dict()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, allow_nan=False)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_model(path) -> tuple[TuckerModel, dict]:

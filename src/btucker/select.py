@@ -19,7 +19,7 @@ from scipy.special import gammaincc
 
 from . import decomp, linalg
 from .errors import DegenerateVarianceError, FileFormatError, SigmaOptimizationError
-from .tensor import _read_utf8
+from .tensor import _read_utf8, write_csv
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_BINS = 100
@@ -297,19 +297,9 @@ def svd_select(
 # ---------------------------------------------------------------------------
 
 def write_selection_csv(result: SelectionResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["feature_index", "statistic", "p_raw", "p_adjusted", "selected"])
-        for i in range(result.p_raw.size):
-            w.writerow(
-                [
-                    i + 1,
-                    format(result.statistic[i], ".17g"),
-                    format(result.p_raw[i], ".17g"),
-                    format(result.p_adjusted[i], ".17g"),
-                    int(result.selected[i]),
-                ]
-            )
+    write_csv(path, ["feature_index", "statistic", "p_raw", "p_adjusted", "selected"],
+              zip(range(1, result.p_raw.size + 1), result.statistic, result.p_raw,
+                  result.p_adjusted, result.selected.astype(int)))
 
 
 def read_selection_csv(path) -> SelectionResult:

@@ -1,4 +1,4 @@
-"""Dense order-3 tensors: storage, unfolding/folding, reconstruction, norms, text I/O.
+"""Dense order-3 tensors: storage, unfolding/folding, reconstruction, norms, file formats.
 
 Conventions used everywhere in this package:
 
@@ -6,18 +6,25 @@ Conventions used everywhere in this package:
   the text format) lists entries with the first index fastest, i.e.
   ``values.ravel(order="F")``.
 * Unfoldings fix one index as the row and flatten the other two as columns,
-  earlier index fastest:
+  earlier index fastest (Kolda & Bader, SIAM Rev. 51, 2009):
 
   - mode 1: N x (M*K), column (j, k) at j + M*k
   - mode 2: M x (N*K), column (i, k) at i + N*k
   - mode 3: K x (N*M), column (i, j) at i + N*j
 
-  The contraction kernel in :mod:`btucker.decomp` orders its mode-2 and
-  mode-3 columns the other way round, with the core unfolded to match.
+  UNFOLD_AXES holds this order; the contraction kernel and the core
+  unfoldings of :mod:`btucker.decomp` read it too.
+* Every artifact the package writes, and every input it parses, goes
+  through this module: the T3/M2 text format, CSV (a header row,
+  comma-separated, CRLF line ends as in RFC 4180) and strict JSON (no NaN or
+  infinity).  Floats in text and CSV files carry 17 significant digits, an
+  exact float64 round trip.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +32,10 @@ import numpy as np
 
 from .errors import FileFormatError
 
-_UNFOLD_AXES = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}
+# Per mode: (row axis, fastest column axis, slowest column axis) of its unfolding.
+UNFOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
+
+_format_float = "{:.17g}".format
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -64,27 +74,36 @@ class Tensor3:
         return isinstance(other, Tensor3) and np.array_equal(self.values, other.values)
 
 
+def _unfolding(a: np.ndarray, mode: int) -> np.ndarray:
+    """Any 3-way array unfolded along `mode` in the column order of UNFOLD_AXES."""
+    m, p, q = UNFOLD_AXES[mode]
+    return a.transpose(m, q, p).reshape(a.shape[m], -1)
+
+
+def _folding(g: np.ndarray, mode: int, shape) -> np.ndarray:
+    """Inverse of :func:`_unfolding` for a 3-way array of `shape`."""
+    m, p, q = UNFOLD_AXES[mode]
+    return g.reshape(shape[m], shape[q], shape[p]).transpose(np.argsort((m, q, p)))
+
+
+def _check_mode(mode: int) -> None:
+    if mode not in UNFOLD_AXES:
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+
+
 def unfold(t: Tensor3, mode: int) -> np.ndarray:
     """Matricize along `mode` (1, 2 or 3) with the column order documented above."""
-    if mode not in _UNFOLD_AXES:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    v = t.values
-    rows = v.shape[mode - 1]
-    return v.transpose(_UNFOLD_AXES[mode]).reshape(rows, -1)
+    _check_mode(mode)
+    return _unfolding(t.values, mode)
 
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> Tensor3:
     """Exact inverse of :func:`unfold` for the given mode and target dims."""
-    if mode not in _UNFOLD_AXES:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    _check_mode(mode)
     m = np.asarray(m, dtype=np.float64)
-    n, mm, k = dims
-    shapes = {1: (n, k, mm), 2: (mm, k, n), 3: (k, mm, n)}
-    rows = dims[mode - 1]
-    if m.ndim != 2 or m.shape[0] != rows or m.size != n * mm * k:
+    if m.ndim != 2 or m.shape[0] != dims[mode - 1] or m.size != math.prod(dims):
         raise ValueError(f"matrix shape {m.shape} inconsistent with mode {mode} of dims {dims}")
-    back = m.reshape(shapes[mode]).transpose(np.argsort(_UNFOLD_AXES[mode]))
-    return Tensor3(back)
+    return Tensor3(_folding(m, mode, dims))
 
 
 def reconstruct(model) -> Tensor3:
@@ -108,13 +127,12 @@ def frobenius_norm(t: Tensor3) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Portable text format.  "T3 N M K" / "M2 rows cols" header, then values with
-# 17 significant digits (exact float64 decimal round trip).
+# Portable text format.  "T3 N M K" / "M2 rows cols" header, then the values.
 # ---------------------------------------------------------------------------
 
 def _write_values(fh, flat: np.ndarray, per_line: int = 8) -> None:
     for start in range(0, flat.size, per_line):
-        fh.write(" ".join(format(x, ".17g") for x in flat[start : start + per_line]))
+        fh.write(" ".join(map(_format_float, flat[start : start + per_line])))
         fh.write("\n")
 
 
@@ -181,3 +199,22 @@ def data_kind(path) -> str:
     if tag and tag[0] == "M2":
         return "matrix"
     raise FileFormatError(f"unrecognized data file header in {path}")
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON artifacts
+# ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """A header row, then one line per row; float cells get 17 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_json(doc, path, indent: int | None = None) -> None:
+    """doc as strict JSON, then a newline; ValueError on NaN or infinity, before the file opens."""
+    text = json.dumps(doc, indent=indent, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

@@ -10,7 +10,6 @@ import pytest
 
 from btucker import datagen, decomp, linalg, select, tensor
 from btucker.cli import (
-    ConfusionReport,
     ExperimentConfig,
     build_config,
     confusion_counts,
@@ -422,6 +421,7 @@ class TestEvaluate:
         assert code == 0
         doc = json.load(open(tmp_path / "conf.json"))
         assert (doc["tn"], doc["fn"], doc["fp"], doc["tp"]) == (1, 1, 1, 1)
+        assert doc["ensembles"] == 1 and doc["rows"] == [[1, 1, 1, 1]]
 
     def test_perfect_selection(self):
         sel = np.array([True, True, False])
@@ -596,11 +596,53 @@ class TestConfusionReport:
         tn, fn, fp, tp = confusion_counts(sel, truth)
         assert tn + fn + fp + tp == 40
 
-    def test_report_dict(self):
-        rep = ConfusionReport(tn=1.0, fn=0.0, fp=0.5, tp=2.5, ensembles=2,
-                              rows=[[1, 0, 1, 2], [1, 0, 0, 3]])
-        doc = rep.to_dict()
-        assert doc["tp"] == 2.5 and doc["ensembles"] == 2
+
+class TestArtifactContract:
+    """Every CSV a command writes has CRLF line ends and parses; every JSON is strict."""
+
+    def test_every_artifact(self, tmp_path, small_config):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        sinusoid = tmp_path / "sin.json"
+        sinusoid.write_text(json.dumps({"generator": {"N": 500, "M": 50, "N1": 50}, "seed": 2}))
+        runs = tmp_path / "runs"
+        for experiment, cfg in (("synthetic-block", small_config), ("sinusoid", sinusoid)):
+            out = runs / experiment
+            common = ["--experiment", experiment, "--config", str(cfg), "--out-dir", str(out)]
+            data = ["--data", str(out / "data.txt")]
+            commands = [["generate"]]
+            if experiment == "synthetic-block":
+                commands += [["decompose", *data],
+                             ["select", *data, "--model", str(out / "model.json")]]
+            else:
+                commands += [["select", *data]]
+            commands += [["evaluate", "--selection", str(out / "selection.csv"),
+                          "--truth", str(out / "truth.csv")], ["report"]]
+            for command in commands:
+                assert main([command[0], *common, *command[1:]]) == 0, command
+        assert main(["ensemble", "--experiment", "synthetic-block", "--config", str(small_config),
+                     "--ensembles", "2", "--out-dir", str(runs / "ensemble")]) == 0
+
+        csvs = sorted(runs.rglob("*.csv"))
+        assert sorted(p.name for p in csvs) == sorted(
+            ["truth.csv", "selection.csv", "u1i.csv", "u1j.csv", "u1k.csv"]
+            + ["truth.csv", "selection.csv", "u1u2_scatter.csv", "uj_series.csv",
+               "selected_rows.csv", "unselected_rows.csv"] + ["ensemble_members.csv"])
+        for path in csvs:
+            raw = path.read_bytes()
+            assert raw.endswith(b"\r\n") and b"\n" not in raw.replace(b"\r\n", b""), path
+            with open(path, newline="") as fh:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            assert reader.fieldnames and rows, path
+            assert all(None not in row and None not in row.values() for row in rows), path
+        jsons = sorted(runs.rglob("*.json"))
+        assert sorted(p.name for p in jsons) == sorted(
+            ["model.json", "report.json", "confusion.json", "confusion.json",
+             "ensemble_summary.json"])
+        for path in jsons:
+            json.loads(path.read_text(), parse_constant=reject)
 
 
 def tensor_pipeline(x, cfg):

@@ -140,6 +140,17 @@ class TestRcsGcm:
         assert not np.array_equal(row5a, row6)
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            gen_synthetic_block(SyntheticBlockParams(N=4, M=2, K=2, N1=1, seed=seed))
+
+    def test_largest_seed_generates(self):
+        t, _ = gen_synthetic_block(SyntheticBlockParams(N=4, M=2, K=2, N1=1, seed=2**64 - 1))
+        assert np.all(np.isfinite(t.values))
+
+
 class TestTruthCsv:
     def test_round_trip(self, tmp_path):
         mask = np.array([True, False, True, True, False])

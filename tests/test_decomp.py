@@ -203,6 +203,17 @@ class TestHooi:
         check = self_consistency_check(t, model, alpha=0.0, beta=estimate_beta(t, model))
         assert check.tol == SELF_CONSISTENCY_TOL and check.self_consistent
 
+    def test_spiked_entry_reaches_the_certified_fixed_point(self):
+        # one entry 1e6 above unit noise: the SVD path of the top vectors must keep the
+        # directions above the rounding level, not only those above the squared noise floor
+        x = np.random.default_rng(0).standard_normal((10, 4, 4))
+        x[0, 0, 0] = 1e6
+        t = Tensor3(x)
+        model, report = hooi(t, (2, 2, 2))
+        assert report.converged and report.sweeps > 2
+        check = self_consistency_check(t, model, alpha=0.0, beta=estimate_beta(t, model))
+        assert check.self_consistent
+
     def test_max_iter_stop_reason(self):
         t = random_tensor((10, 8, 6), seed=46)
         _, report = hooi(t, (3, 3, 3), max_iter=2, tol=1e-15)
