@@ -25,7 +25,9 @@ posterior is S = pinv(alpha*I + beta*Phi^T Phi) with mean beta*S*Phi^T x.
 The pseudoinverse of the L x L Gram drops eigenvalues below 1e-12 * L times
 the largest: singular values of Phi below sqrt(1e-12 * L) times the largest.
 The least-squares core is the data contracted with u_m, or pinv(u_m)^T, in
-every mode; no (L1*L2*L3)-sided matrix is formed.
+every mode; no (L1*L2*L3)-sided matrix is formed.  :func:`hooi` runs the same
+kernel on G = R^T R, the Gram matrix of its QR-compressed mode-1 unfolding,
+whenever G is no larger than R (N >= M*K).
 """
 
 from __future__ import annotations
@@ -209,27 +211,38 @@ def _core_factor(u: np.ndarray) -> np.ndarray:
     return u if defect <= ORTHONORMALITY_TOL else linalg.pseudoinverse(u).T
 
 
+def _top_eigenpairs(gram: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The top-`rank` eigenvalues and eigenvectors (columns) of a Gram matrix, largest first.
+
+    None when the rank-th eigenvalue is at or below NOISE_FLOOR times the
+    largest: there the Gram matrix's rounding decides the vectors, and only
+    the SVD of the matrix it came from can.
+    """
+    vals, vecs = np.linalg.eigh(gram)
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
+    if vals[0] > 0 and vals[rank - 1] > NOISE_FLOOR * vals[0]:
+        return vals[:rank], vecs[:, :rank]
+    return None
+
+
 def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
     """Leading left singular vectors of b as rows, with the global sign rule.
 
     Eigendecomposes the smaller Gram matrix, b b^T when b is wide and b^T b
     (mapped back through b) when it is tall, as long as the kept spectrum is
-    well away from the squared-condition noise floor; falls back to the SVD
-    otherwise.  There, the vectors of singular values at or below max(b.shape)
-    eps times the largest (np.linalg.matrix_rank's cutoff) are rounding noise,
-    so they are replaced by the identity's first columns orthonormalized
-    against the others: the result then moves continuously with b instead of
-    jumping with its last bits.
+    well away from the squared-condition noise floor (:func:`_top_eigenpairs`);
+    falls back to the SVD otherwise.  There, the vectors of singular values at
+    or below max(b.shape) eps times the largest (np.linalg.matrix_rank's
+    cutoff) are rounding noise, so they are replaced by the identity's first
+    columns orthonormalized against the others: the result then moves
+    continuously with b instead of jumping with its last bits.
     """
     wide = b.shape[0] <= b.shape[1]
-    vals, vecs = np.linalg.eigh(b @ b.T if wide else b.T @ b)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    if vals[0] > 0 and vals[rank - 1] > NOISE_FLOOR * vals[0]:
-        if wide:
-            u = vecs[:, :rank].T
-        else:
-            u = (b @ vecs[:, :rank]).T / np.sqrt(vals[:rank])[:, None]
+    top = _top_eigenpairs(b @ b.T if wide else b.T @ b, rank)
+    if top is not None:
+        vals, vecs = top
+        u = vecs.T if wide else (b @ vecs).T / np.sqrt(vals)[:, None]
     else:
         res = linalg.svd(b, rank=rank)
         kept = res.U[:, res.s > max(b.shape) * np.finfo(float).eps * res.s[0]]
@@ -384,14 +397,28 @@ def hooi(
     Each sweep contracts the data once.  The sweeps run on R from one QR,
     unfold(t, 1) = Q R, of which only R is formed, so mode 1 has
     min(N, M*K) rows; the contractions, core and residual are those of t.
-    Mode 1 contracts R with the mode-2/3 factors W; the new mode-1 factor V1
-    then gives Z = V1 unfold(R, 1), an (L1, M, K) tensor from which modes 2
-    and 3 and the projected core follow.  Top vectors come from the smaller
-    Gram matrix.  The returned U1 is computed once from the data, as the top
+    The start is the HOSVD of R.  Mode 1 contracts R with the mode-2/3
+    factors, A = R(1) W^T with W their Kronecker product in the kernel's
+    column order, and its new factor V1 = Lambda^-1/2 W_A^T A^T, from the
+    top-L1 eigenpairs (Lambda, W_A) of A^T A, gives Z = V1 R(1), an
+    (L1, M, K) tensor from which modes 2 and 3 and the projected core
+    follow.  When N >= M*K, R is square, and G = R^T R, formed once per fit,
+    is no larger: each sweep then takes P = W G through the contraction
+    kernel, A^T A = P W^T and Z = Lambda^-1/2 W_A^T P, so neither V1 nor an
+    (L1, M*K) x (M*K, M*K) product is formed.  V1 itself is formed, from R,
+    only where the residual is recomputed from the model (below), and a
+    mode-1 spectrum below the noise floor of :func:`_top_eigenpairs` takes
+    the top vectors of A from R instead.  When N < M*K, G would be larger
+    than R, and each sweep forms A from R and V1 from A.  Other top vectors
+    come from the smaller Gram matrix.  The residual is
+    sqrt(||x||^2 - ||core||^2) unless that is below 1e-6 ||x||, where
+    cancellation would dominate and the model is subtracted from R
+    instead.  The returned U1 is computed once from the data, as the top
     left singular vectors of unfold(t, 1) W for the W that V1 came from:
     that matrix is Q R W, so this is V1 Q^T without Q.  The factor_tol test
     of U1 takes the same lift, and the returned core is recomputed from the
-    returned factors.
+    returned factors.  Data whose squared norm overflows raise
+    FloatingPointError before any of this.
 
     Where the residual criterion holds but the factors still move, plain
     sweeps would close the rest of the way linearly, at about 0.995 per
@@ -418,13 +445,19 @@ def hooi(
 
     n, m, k = t.dims
     l1, l2, l3 = ranks
-    norm_x = frobenius_norm(t)
-    scale = norm_x if norm_x > 0 else 1.0
+    with np.errstate(over="ignore"):
+        norm_x = frobenius_norm(t)
     norm_x_sq = norm_x * norm_x
+    if not np.isfinite(norm_x_sq):
+        raise FloatingPointError("the squared norm of the data overflows float64")
+    scale = norm_x if norm_x > 0 else 1.0
     r = np.linalg.qr(t.values.reshape(n, m * k), mode="r")
     compressed = r.reshape(-1, m, k)
     model = hosvd_init(Tensor3(compressed), ranks)
     data = _ContractionKernel(t.values)
+    # G = R^T R, no larger than R once R is square; rows (j, k) as R's columns.  Formed
+    # after the start, so that the start's temporaries and G are not held at once
+    gram = _ContractionKernel((r.T @ r).reshape(-1, m, k)) if n >= m * k else None
 
     def lift(w2, w3) -> np.ndarray:
         """U1 from the data: the top-l1 left singular vectors of X(1) W, W from w2 and w3."""
@@ -437,16 +470,15 @@ def hooi(
             moved = max(moved, float(np.max(np.abs(lift(*w) - lift(*previous_w)))))
         return moved
 
-    def residual(core_sq, core, v1, u2, u3) -> float:
-        # orthonormal factors + projected core (axes 3, 2, 1): ||resid||^2 = ||x||^2 - ||core||^2;
-        # recompute explicitly when cancellation would dominate
+    def residual(core_sq: float, approx) -> float:
+        # orthonormal factors + projected core: ||resid||^2 = ||x||^2 - ||core||^2; where
+        # cancellation would dominate, subtract approx(), the model on R's coordinates
         r2 = norm_x_sq - core_sq
         if not np.isfinite(r2):
             raise FloatingPointError("non-finite values during HOOI iteration")
         if r2 > (1e-6 * scale) ** 2:
             return float(np.sqrt(r2))
-        approx = np.einsum("cba,ai,bj,ck->ijk", core, v1, u2, u3, optimize=True)
-        err = float(np.linalg.norm((compressed - approx).ravel()))
+        err = float(np.linalg.norm((compressed - approx()).ravel()))
         if not np.isfinite(err):
             raise FloatingPointError("non-finite values during HOOI iteration")
         return err
@@ -456,17 +488,31 @@ def hooi(
     eye = np.eye(l1)  # Z already carries the mode-1 factor
 
     def sweep(in2, in3):
-        """One plain sweep from (in2, in3): V1, U2, U3 and the projected core as (L3, L2, L1)."""
-        s1 = _top_left_vectors(work.contracted(None, in2, in3, mode=1), l1)
-        z = _ContractionKernel((s1 @ r).reshape(l1, m, k))
+        """One plain sweep from (in2, in3): the new U2 and U3 and the new model's residual."""
+        top = None
+        if gram is not None:
+            # P = (U2 kron U3) G, so A^T A = P (U2 kron U3)^T for A = R(1) (U2 kron U3)^T
+            p = gram.contracted(None, in2, in3, mode=1).T
+            top = _top_eigenpairs(_ContractionKernel(p.reshape(-1, m, k)).contracted(
+                None, in2, in3, mode=1), l1)
+        if top is None:
+            s1 = _top_left_vectors(work.contracted(None, in2, in3, mode=1), l1)
+            z, v1 = s1 @ r, lambda: s1
+        else:
+            # V1 = Lambda^-1/2 W_A^T A^T, so Z = V1 R(1) = Lambda^-1/2 W_A^T P without V1
+            coef = top[1] / np.sqrt(top[0])
+            z, v1 = coef.T @ p, lambda: (work.contracted(None, in2, in3, mode=1) @ coef).T
+        z = _ContractionKernel(z.reshape(l1, m, k))
         s2 = _top_left_vectors(z.contracted(eye, in2, in3, mode=2), l2)
         contracted3 = z.contracted(eye, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
-        return s1, s2, s3, (s3 @ contracted3).reshape(l3, l2, l1)
+        core = (s3 @ contracted3).reshape(l3, l2, l1)
+        return s2, s3, residual(float(np.vdot(core, core)), lambda: np.einsum(
+            "cba,ai,bj,ck->ijk", core, v1(), s2, s3, optimize=True))
 
-    v1, u2, u3, core = model.u1, model.u2, model.u3, model.core.transpose(2, 1, 0)
-    history = [residual(float(np.sum(core * core)), core, v1, u2, u3)]
-    # the W that v1 came from: the HOSVD start's is the identity
+    u2, u3 = model.u2, model.u3
+    history = [residual(float(np.sum(model.core * model.core)), lambda: reconstruct(model).values)]
+    # the W that V1 came from: the HOSVD start's is the identity
     w = (np.eye(m), np.eye(k))
     point = None  # the trust region's current point, once it has taken over
     radius = TR_RADIUS
@@ -498,9 +544,9 @@ def hooi(
                 point = None
             continue
         previous_w, w = w, (u2, u3)
-        v1, u2, u3, core = sweep(*w)
+        u2, u3, err = sweep(*w)
         sweeps += 1
-        history.append(residual(float(np.vdot(core, core)), core, v1, u2, u3))
+        history.append(err)
         if abs(history[-2] - history[-1]) / scale < tol:
             moved = factor_change(max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), w)),
                                   w, previous_w)
@@ -513,9 +559,9 @@ def hooi(
 
     if w[0] is u2:
         # the last iterate is the trust region's: one sweep puts U2 and U3 in the sweeps' basis
-        v1, u2, u3, core = sweep(u2, u3)
+        u2, u3, err = sweep(u2, u3)
         sweeps += 1
-        history.append(residual(float(np.vdot(core, core)), core, v1, u2, u3))
+        history.append(err)
     u1 = lift(*w)
     core = _folding(u1 @ data.contracted(u1, u2, u3, mode=1), 1, ranks)
     model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -586,6 +587,22 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: component 2 ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
+    def test_overflowing_tensor_exit_3(self, tmp_path, capsys, dims):
+        # an entry of 1e160 overflows ||x||^2, and on the tall tensor G = R^T R too: one line,
+        # no warning, before an eigensolver meets an infinity
+        x = np.random.default_rng(3).normal(size=dims)
+        x[2, 1, 1] = 1e160
+        tensor.write_tensor(tensor.Tensor3(x), tmp_path / "big.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["decompose", "--ranks", "2,2,2", "--data", str(tmp_path / "big.txt"),
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfusionReport:

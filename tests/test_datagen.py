@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from btucker.cli import main
 from btucker.datagen import (
     GcmParams,
     SinusoidParams,
@@ -149,6 +153,42 @@ class TestSeedRange:
     def test_largest_seed_generates(self):
         t, _ = gen_synthetic_block(SyntheticBlockParams(N=4, M=2, K=2, N1=1, seed=2**64 - 1))
         assert np.all(np.isfinite(t.values))
+
+
+class TestRowStreams:
+    def test_rekeyed_generator_draws_as_a_new_one(self):
+        used = _substream(3, _PURPOSE_SIN_ROW, 0)
+        used.random(5)
+        rekeyed = _substream(17, _PURPOSE_GCM_COUPLING_ROW, 5, used)
+        assert rekeyed is used
+        assert np.array_equal(rekeyed.random(100),
+                              _substream(17, _PURPOSE_GCM_COUPLING_ROW, 5).random(100))
+
+
+# SHA-256 of the files `generate` writes for small configs, recorded before the generators
+# re-keyed one Philox per call instead of building one per row: same keys, same bytes
+PINNED_FILES = {
+    "synthetic-block": ({"N": 40, "M": 6, "K": 4, "N1": 5, "mu": 2.0}, 7, {
+        "data.txt": "741300e51adc989e3aa9ac856827aea58657822a8681ea02e40d35f2e66996cb",
+        "truth.csv": "149e6b7feb1c7e843592d5f226ac588e93905f484027b3876dbf3f9e3fa07b5b"}),
+    "sinusoid": ({"N": 60, "M": 12, "N1": 10}, 8, {
+        "data.txt": "d72c13411c6ee3ec24a6129026c538219bcbfe05e02e328dbb6c2fe8403bb42c",
+        "truth.csv": "eb3d38067ed60d05a47d26c9de4c6b300786ca13f212825419a9b06072cc48ee"}),
+    "rcs-gcm": ({"N": 50, "steps": 20}, 9, {
+        "data.txt": "0a0ea4ab62560f989bc8477904fb09ec35867927190ed4b8a12df8453c8ab75c"}),
+}
+
+
+class TestPinnedChecksums:
+    @pytest.mark.parametrize("experiment", sorted(PINNED_FILES))
+    def test_generated_files(self, tmp_path, experiment):
+        generator, seed, digests = PINNED_FILES[experiment]
+        config, out = tmp_path / "cfg.json", tmp_path / "run"
+        config.write_text(json.dumps({"generator": generator}))
+        assert main(["generate", "--experiment", experiment, "--config", str(config),
+                     "--seed", str(seed), "--out-dir", str(out)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == digests
 
 
 class TestTruthCsv:

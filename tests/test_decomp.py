@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import btucker
-from btucker import datagen, linalg
+from btucker import datagen, decomp, linalg
 from btucker.cli import build_config
 from btucker.decomp import (
     BETA_CAP,
@@ -219,6 +219,65 @@ class TestHooi:
         _, report = hooi(t, (3, 3, 3), max_iter=2, tol=1e-15)
         assert not report.converged
         assert report.stop_reason == "max_iter"
+
+
+class TestHooiRoutes:
+    """hooi's two mode-1 routes: on G = R^T R once N >= M*K (tall), on R otherwise (short)."""
+
+    # tall: 40 >= 4*3, so the sweeps run on G; short: 12 < 5*4, so they run on R.  Neither
+    # fit meets the residual criterion within 20 sweeps, so each is plain HOOI throughout
+    CASES = {"tall": ((40, 4, 3), (2, 2, 2), 60), "short": ((12, 5, 4), (3, 2, 2), 60)}
+
+    @pytest.mark.parametrize("max_iter", [5, 20])
+    @pytest.mark.parametrize("shape", ["tall", "short"])
+    def test_sweeps_match_reference(self, monkeypatch, shape, max_iter):
+        dims, ranks, seed = self.CASES[shape]
+        t = random_tensor(dims, seed=seed)
+        shapes = []
+
+        class KernelSpy(_ContractionKernel):  # records the shape of every array it runs on
+            def __init__(self, v):
+                super().__init__(v)
+                shapes.append(v.shape)
+
+        monkeypatch.setattr(decomp, "_ContractionKernel", KernelSpy)
+        model, report = hooi(t, ranks, max_iter=max_iter)
+        expected, history = reference_hooi(t, ranks, max_iter=max_iter, tol=DEFAULT_TOL,
+                                           factor_tol=DEFAULT_FACTOR_TOL)
+        assert report.sweeps == max_iter and report.newton_steps == 0
+        for got, want in zip((model.core, model.u1, model.u2, model.u3),
+                             (expected.core, expected.u1, expected.u2, expected.u3)):
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(report.residual_history - history)) < 1e-12
+        # an (M*K)^2 matrix, G, is formed exactly when N >= M*K
+        gram_shape = (dims[1] * dims[2], dims[1], dims[2])
+        assert (gram_shape in shapes) == (shape == "tall")
+
+    @pytest.mark.parametrize("ranks", [(2, 2, 2), (3, 2, 2)])
+    def test_exact_rank_on_g(self, monkeypatch, ranks):
+        # exact rank (2, 2, 2) and N >= M*K: every residual is below 1e-6 |x|, so each one is
+        # recomputed from the model (at L1 = 2 through the lazily formed V1), and at L1 = 3
+        # the third eigenvalue of A^T A is zero, so each sweep's mode 1 takes the top vectors
+        # of A = R(1) (U2 kron U3)^T itself, the only (M*K, L2*L3) matrix they are taken of
+        dims = (30, 4, 3)
+        t = reconstruct(random_model(dims, (2, 2, 2), seed=53))
+        shapes = []
+
+        def top_left_vectors(b, rank):
+            shapes.append(b.shape)
+            return _top_left_vectors(b, rank)
+
+        monkeypatch.setattr(decomp, "_top_left_vectors", top_left_vectors)
+        model, report = hooi(t, ranks, max_iter=3, tol=1e-300)
+        expected, history = reference_hooi(t, ranks, max_iter=3, tol=1e-300,
+                                           factor_tol=DEFAULT_FACTOR_TOL)
+        assert report.sweeps == 3 and shapes.count((12, 4)) == (3 if ranks[0] == 3 else 0)
+        assert np.max(report.residual_history) < 1e-13 * frobenius_norm(t)
+        assert np.max(np.abs(report.residual_history - history)) < 1e-12
+        # rows beyond the data's rank 2 are arbitrary in both
+        for got, want in ((model.u1[:2], expected.u1[:2]), (model.u2, expected.u2),
+                          (model.u3, expected.u3), (model.core[:2], expected.core[:2])):
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestTopLeftVectors:

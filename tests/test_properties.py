@@ -2,7 +2,9 @@
 
 Every example reaches cli.main with a valid command line (experiment custom,
 tensors at most 10x4x4); the property is an exit code in {0, 1, 2, 3} and no
-exception escaping main.
+exception escaping main.  The round trips at the end hold bit for bit for any
+finite floats, -0.0 and subnormals included: unfold and fold, the T3/M2 text
+files, and the model JSON.
 """
 
 import json
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from btucker import datagen, decomp, select, tensor
 from btucker.cli import main
@@ -111,3 +114,56 @@ def test_any_selection_csv(run_dir, content):
 @given(content=_bytes_after(b"truth\n"))
 def test_any_truth_csv(run_dir, content):
     run(run_dir, "evaluate", "truth", content)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DIMS = st.tuples(*[st.integers(1, 4)] * 3)
+
+
+def finite_arrays(shape):
+    return arrays(np.float64, shape, elements=FINITE)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@EXAMPLES
+@given(data=st.data(), dims=DIMS, mode=st.sampled_from([1, 2, 3]))
+def test_fold_unfold_round_trip(data, dims, mode):
+    t = tensor.Tensor3(data.draw(finite_arrays(dims)))
+    assert same_bits(tensor.fold(tensor.unfold(t, mode), mode, dims).values, t.values)
+    m = data.draw(finite_arrays((dims[mode - 1], t.values.size // dims[mode - 1])))
+    assert same_bits(tensor.unfold(tensor.fold(m, mode, dims), mode), m)
+
+
+@EXAMPLES
+@given(data=st.data(), dims=DIMS)
+def test_text_file_round_trip(run_dir, data, dims):
+    t = tensor.Tensor3(data.draw(finite_arrays(dims)))
+    tensor.write_tensor(t, run_dir / "round-trip.txt")
+    assert same_bits(tensor.read_tensor(run_dir / "round-trip.txt").values, t.values)
+    x = data.draw(finite_arrays(dims[:2]))
+    tensor.write_matrix(x, run_dir / "round-trip.txt")
+    assert same_bits(tensor.read_matrix(run_dir / "round-trip.txt"), x)
+
+
+@st.composite
+def tucker_models(draw):
+    dims = draw(DIMS)
+    ranks = tuple(draw(st.integers(1, d)) for d in dims)
+    factors = [draw(finite_arrays((r, d))) for r, d in zip(ranks, dims)]
+    return decomp.TuckerModel(draw(finite_arrays(ranks)), *factors)
+
+
+@EXAMPLES
+@given(model=tucker_models(),
+       alpha=st.floats(min_value=0.0, allow_infinity=False),
+       beta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_model_file_round_trip(run_dir, model, alpha, beta):
+    decomp.save_model(model, run_dir / "round-trip.json", beta=beta, alpha=alpha)
+    loaded, meta = decomp.load_model(run_dir / "round-trip.json")
+    for name in ("core", "u1", "u2", "u3"):
+        assert same_bits(getattr(loaded, name), getattr(model, name))
+    assert same_bits(meta["alpha"], alpha) and same_bits(meta["beta"], beta)
