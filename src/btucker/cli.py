@@ -263,17 +263,16 @@ def confusion_counts(selected: np.ndarray, truth: np.ndarray) -> tuple[int, int,
 
 
 def run_member(cfg: ExperimentConfig, seed: int) -> dict:
-    """One full generate -> decompose -> select -> evaluate pass, in memory."""
+    """One generate -> decompose -> select -> evaluate pass, in memory; only what ensembles read."""
     kind, data, truth = generate_data(cfg, seed)
-    out = {"seed": seed, "kind": kind}
+    out = {"seed": seed}
     if kind == "tensor":
         model, report, beta = decompose_tensor(data, cfg)
         result = select_from_tensor(data, model, cfg, beta=beta)
-        out["report"] = report
+        out["self_consistent"] = report.self_consistent
     else:
         result = select_from_matrix(data, cfg)
     out["selected_count"] = result.n_selected
-    out["result"] = result
     if truth is not None:
         out["confusion"] = confusion_counts(result.selected, truth)
     return out
@@ -383,9 +382,8 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
         names = ("tn", "fn", "fp", "tp")
         summary["confusion_mean"] = dict(zip(names, map(float, mean)))
         summary["confusion_sd"] = dict(zip(names, map(float, sd)))
-    if members and "report" in members[0]:
-        summary["self_consistent_members"] = sum(m["report"].self_consistent is True
-                                                 for m in members)
+    if members and "self_consistent" in members[0]:
+        summary["self_consistent_members"] = sum(m["self_consistent"] is True for m in members)
     tensor.write_json(summary, out_dir / "ensemble_summary.json", indent=1)
     print(json.dumps(summary))
     return EXIT_OK

@@ -112,8 +112,8 @@ class FitReport:
     holds).  final_gradient_norm is the norm of the Riemannian gradient of
     ||core||^2 at :func:`hooi`'s last trust-region point, None if the trust
     region never ran.
-    self_consistent / max_mode_deviation stay None ("not checked") except on
-    paths that run the posterior-mean comparison.
+    self_consistent / max_mode_deviation stay None ("not checked") until a
+    caller fills them in from :func:`self_consistency_check`.
     """
 
     sweeps: int
@@ -633,14 +633,15 @@ def posterior_stats(
     return _mode_posterior(_ContractionKernel(t.values), model, mode, alpha, beta)
 
 
-def _noise_precision(resid: np.ndarray) -> float:
+def noise_precision(resid: np.ndarray) -> float:
+    """One over the mean squared residual, capped at BETA_CAP for near-exact fits."""
     ssq = float(np.sum(resid * resid))
     return min(resid.size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP
 
 
 def estimate_beta(t: Tensor3, model: TuckerModel) -> float:
-    """Noise precision from the mean squared residual, capped at BETA_CAP for near-exact fits."""
-    return _noise_precision(t.values - reconstruct(model).values)
+    """The noise precision of the model's residual (see :func:`noise_precision`)."""
+    return noise_precision(t.values - reconstruct(model).values)
 
 
 def btud_fit(
@@ -660,8 +661,8 @@ def btud_fit(
     within a mode, so Y(m) is contracted once per mode (see the module
     docstring).  Sweeps stop when the largest entrywise factor change falls
     below `tol` (stop reason "factor_tol").  beta is the noise precision of
-    the final residual.  The report certifies the result at `alpha` and beta,
-    on the kernel the sweeps ran on, at SELF_CONSISTENCY_TOL, whatever `tol` is.
+    the final residual.  The report leaves self_consistent and
+    max_mode_deviation None: :func:`self_consistency_check` certifies a fit.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
@@ -679,7 +680,7 @@ def btud_fit(
 
     def residual() -> tuple[float, float]:  # norm and noise precision from one reconstruction
         resid = t.values - reconstruct(current_model()).values
-        return float(np.linalg.norm(resid.ravel())), _noise_precision(resid)
+        return float(np.linalg.norm(resid.ravel())), noise_precision(resid)
 
     norm, beta = residual()
     history = [norm]
@@ -708,39 +709,14 @@ def btud_fit(
         if converged:
             break
 
-    model = current_model()
-    check = _consistency(work, model, alpha, beta, SELF_CONSISTENCY_TOL)
     report = FitReport(
         sweeps=sweeps,
         residual_history=np.array(history),
         converged=converged,
         stop_reason="factor_tol" if converged else "max_iter",
         final_factor_change=moved,
-        self_consistent=check.self_consistent,
-        max_mode_deviation=check.max_mode_deviation,
     )
-    return model, beta, report
-
-
-def _consistency(work: _ContractionKernel, model: TuckerModel,
-                 alpha: float, beta: float, tol: float) -> ConsistencyCheck:
-    """The certificate on a kernel of the data; see :func:`self_consistency_check`."""
-    deviations = []
-    for mode in (1, 2, 3):
-        u = model.factor(mode)
-        m = _mode_posterior(work, model, mode, alpha, beta)[0]
-        flips = np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)
-        m *= flips[:, None]
-        deviations.append(float(np.max(np.abs(u - m))))
-    core = _least_squares_core(work, model.u1, model.u2, model.u3)
-    core_dev = float(np.max(np.abs(model.core - core)))
-    ok = bool(max(max(deviations), core_dev) <= tol)
-    return ConsistencyCheck(
-        self_consistent=ok,
-        mode_deviations=np.array(deviations),
-        core_deviation=core_dev,
-        tol=tol,
-    )
+    return current_model(), beta, report
 
 
 def self_consistency_check(
@@ -760,7 +736,23 @@ def self_consistency_check(
     The model is accepted when every deviation is at most `tol`.
     """
     _check_posterior_args(t, model, alpha, beta)
-    return _consistency(_ContractionKernel(t.values), model, alpha, beta, tol)
+    work = _ContractionKernel(t.values)
+    deviations = []
+    for mode in (1, 2, 3):
+        u = model.factor(mode)
+        m = _mode_posterior(work, model, mode, alpha, beta)[0]
+        flips = np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)
+        m *= flips[:, None]
+        deviations.append(float(np.max(np.abs(u - m))))
+    core = _least_squares_core(work, model.u1, model.u2, model.u3)
+    core_dev = float(np.max(np.abs(model.core - core)))
+    ok = bool(max(max(deviations), core_dev) <= tol)
+    return ConsistencyCheck(
+        self_consistent=ok,
+        mode_deviations=np.array(deviations),
+        core_deviation=core_dev,
+        tol=tol,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -255,15 +255,22 @@ def svd_select(
     the raw matrix as the N x 1 x M tensor it is: the SVD gives its
     rank-(L, 1, L) Tucker model, L the largest requested component, and rows
     are scored by the calibrated posterior chi-square sum (see
-    :func:`btud_statistic`) of decomp's mode-1 posterior at alpha = 0, with
-    decomp's noise precision from the model's residual.  (The singleton mode
-    is the middle one because the kernel contracts the last mode first: a
-    1 x 1 last factor would copy the whole matrix.)
+    :func:`btud_statistic`) of decomp's mode-1 posterior at alpha = 0.  For
+    this model that posterior is the SVD itself: mean U^T, taken from the
+    data as diag(1/s) V^T x^T, and covariance diag(1 / (beta s^2)), with
+    beta decomp's noise precision of the model's residual.
 
     On both routes a requested component whose squared singular value is at
     or below decomp.NOISE_FLOOR times the largest is noise, not signal, and
-    raises DegenerateVarianceError.
+    raises DegenerateVarianceError.  A matrix whose squared norm overflows
+    float64 raises FloatingPointError before any of this.  Centring never
+    raises a column's sum of squares and scaling sets it to N, so the check
+    on the raw matrix covers the "td" route's standardized one too.
     """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):  # vdot forms no squared copy of the matrix
+        if not np.isfinite(np.vdot(x, x)):
+            raise FloatingPointError("the squared norm of the data overflows float64")
     x = scored_matrix(x, mode)
     if x.ndim != 2:
         raise ValueError("expected a matrix")
@@ -279,14 +286,13 @@ def svd_select(
         fit = optimize_sigma(u_feat, comps)
         stat = td_statistic(u_feat, fit.sigma, comps)
     else:
-        # decomp's private kernels, not estimate_beta/posterior_stats: perfbench's
-        # tracer counts calls of decomp's public functions as tensor-path work
-        model = decomp.TuckerModel(core=np.diag(res.s)[:, None, :], u1=res.U.T,
-                                   u2=np.ones((1, 1)), u3=res.V.T)
-        beta = decomp._noise_precision(x - (res.U * res.s) @ res.V.T)  # the model's residual
-        means, cov = decomp._mode_posterior(decomp._ContractionKernel(x[:, None, :]), model, 1,
-                                            0.0, beta)
-        stat = btud_statistic(means, cov, comps, calibrate=True)
+        beta = decomp.noise_precision(x - (res.U * res.s) @ res.V.T)
+        # U^T, as the least-squares fit on V diag(s); divided in place, since a second
+        # (L, N) temporary left 7 MB more heap behind and raised matrix-cli's peak RSS
+        means = res.V.T @ x.T
+        means /= res.s[:, None]
+        # 1 / beta first: dividing that by power overflows only where the variance does
+        stat = btud_statistic(means, np.diag(1.0 / beta / power), comps, calibrate=True)
 
     p = chi2_sf(stat, dof=comps.size)
     return select_features(p, threshold=threshold, statistic=stat, dof=comps.size)

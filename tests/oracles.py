@@ -140,16 +140,14 @@ def reference_posterior(t, model, mode, alpha, beta):
     return beta * cov @ phi.T @ xm.T, cov
 
 
-def reference_matrix_posterior(x, components):
+def reference_matrix_posterior(x, rank):
     """The matrix btud route on its explicit design: the right singular vectors times s.
 
-    Returns the posterior (mean, cov) of the requested components' row
-    coefficients at alpha = 0, with beta from the residual of their
-    reconstruction.
+    Returns the posterior (mean, cov) of the row coefficients of components
+    1..rank at alpha = 0, with beta from the residual of their reconstruction.
     """
-    idx = np.asarray(components) - 1
-    res = linalg.svd(x, rank=int(idx.max()) + 1)
-    phi = res.V[:, idx] * res.s[idx]
-    resid = x - (res.U[:, idx] * res.s[idx]) @ res.V[:, idx].T
+    res = linalg.svd(x, rank=rank)
+    phi = res.V * res.s
+    resid = x - (res.U * res.s) @ res.V.T
     beta = x.size / float(np.sum(resid * resid))
     return linalg.pseudoinverse(phi) @ x.T, linalg.pseudoinverse(beta * (phi.T @ phi))

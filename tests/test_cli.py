@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import pickle
 import re
 import warnings
 from pathlib import Path
@@ -468,6 +469,13 @@ class TestEnsemble:
         standalone = run_member(cfg, cfg.seed)
         assert member["confusion"] == standalone["confusion"]
 
+    def test_member_record_is_small(self, small_config):
+        # the process pool pickles every member back: a few numbers, no length-N arrays
+        sinusoid = build_config("sinusoid", overrides={"generator": {"N": 2000, "M": 50, "N1": 50}})
+        for cfg in (build_config("synthetic-block", config_path=small_config), sinusoid):
+            member = run_member(cfg, cfg.seed)
+            assert len(pickle.dumps(member)) < 400, member
+
     def test_summary_and_members_csv(self, tmp_path, small_config):
         out = tmp_path / "run"
         code = main(["ensemble", "--experiment", "synthetic-block",
@@ -599,6 +607,28 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["decompose", "--ranks", "2,2,2", "--data", str(tmp_path / "big.txt"),
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["btud", "td"])
+    @pytest.mark.parametrize("case", ["entry", "scaled", "sum"])
+    def test_overflowing_matrix_exit_3(self, tmp_path, capsys, case, mode):
+        # ||x||^2 overflows through one entry of 1e160, through every entry scaled by 1e160,
+        # or through the sum alone (every entry in [4e153, 8e153], whose squares are finite):
+        # one line and no warning on both routes, td's standardization included
+        x = np.random.default_rng(3).normal(size=(30, 6))
+        if case == "entry":
+            x[2, 1] = 1e160
+        elif case == "scaled":
+            x *= 1e160
+        else:
+            x = 4e153 * (1.0 + np.random.default_rng(3).random(size=(30, 6)))
+        tensor.write_matrix(x, tmp_path / "big.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["select", "--selection-mode", mode, "--data", str(tmp_path / "big.txt"),
                          "--out-dir", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err

@@ -626,13 +626,15 @@ class TestEstimateBeta:
 
 
 class TestBtudFit:
-    def test_certifies_at_the_fixed_tolerance_not_its_sweep_tol(self):
+    def test_leaves_the_certificate_to_self_consistency_check(self):
         t = random_tensor((10, 8, 6), seed=31)
         init, _ = hooi(t, (2, 2, 2), max_iter=20000, tol=1e-8, factor_tol=1e-7)
-        assert self_consistency_check(t, init, alpha=0.0, beta=estimate_beta(t, init)).self_consistent
-        _, _, report = btud_fit(t, init, alpha=0.0, max_sweeps=1, tol=1e-15)
-        assert report.self_consistent is True
-        assert report.max_mode_deviation <= SELF_CONSISTENCY_TOL
+        for alpha in (0.0, 0.5):
+            model, beta, report = btud_fit(t, init, alpha=alpha, max_sweeps=1, tol=1e-15)
+            assert report.self_consistent is None and report.max_mode_deviation is None
+            if alpha == 0.0:
+                check = self_consistency_check(t, model, alpha=0.0, beta=beta)
+                assert check.self_consistent and check.max_mode_deviation <= SELF_CONSISTENCY_TOL
 
     def test_converges_immediately_from_hooi(self):
         t = random_tensor((10, 8, 6), seed=31)

@@ -21,6 +21,9 @@ from btucker.cli import main
 EXIT_CODES = {0, 1, 2, 3}
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=40)
 
+# an input that makes the numerics warn has found a case that should end in an exit code
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _bytes_after(*prefixes: bytes):
     """Arbitrary bytes, alone or after a header that a reader looks for first."""

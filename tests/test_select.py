@@ -296,14 +296,16 @@ class TestSvdSelect:
         assert res.selected[:5].all()
         assert res.n_selected <= 15
 
-    def test_btud_mode_matches_the_explicit_design(self):
+    @pytest.mark.parametrize("components, found", [((1, 2), 20), ((2,), 10)], ids=["1-2", "2"])
+    def test_btud_mode_matches_the_explicit_design(self, components, found):
+        # (2,): component 1 is in the rank-2 model but not scored
         rng = np.random.default_rng(70)
         x = rng.normal(size=(300, 40))
         x[:20] += 2.0 * np.sin(np.arange(40) * 2.0 * np.pi / 3.0 + rng.uniform(0, 2 * np.pi, (20, 1)))
-        res = svd_select(x, [1, 2], mode="btud")
-        means, cov = reference_matrix_posterior(x, [1, 2])
-        want = btud_statistic(means, cov, [1, 2], calibrate=True)
-        assert res.selected[:20].all()
+        res = svd_select(x, components, mode="btud")
+        means, cov = reference_matrix_posterior(x, max(components))
+        want = btud_statistic(means, cov, components, calibrate=True)
+        assert res.selected[:20].sum() == found
         assert np.max(np.abs(res.statistic - want) / want) < 1e-12
 
     @pytest.mark.parametrize("mode", ["btud", "td"])
