@@ -41,11 +41,11 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateComponentError, DegenerateRowError, FileFormatError
+from .linalg import BETA_CAP  # re-exported: the cap on every beta a fit reports
 from .tensor import (UNFOLD_AXES, Tensor3, _folding, _read_utf8, _unfolding, frobenius_norm,
                      reconstruct, unfold, write_json)
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
-BETA_CAP = 1e12            # largest reported noise precision, reached by near-exact fits
 NOISE_FLOOR = 1e-10        # squared singular values below this times the largest are noise
 
 DEFAULT_MAX_ITER = 20000
@@ -445,11 +445,9 @@ def hooi(
 
     n, m, k = t.dims
     l1, l2, l3 = ranks
-    with np.errstate(over="ignore"):
-        norm_x = frobenius_norm(t)
+    linalg.squared_norm(t.values)  # raises before any other work when ||x||^2 overflows
+    norm_x = frobenius_norm(t)  # summed pairwise: the residual history carries its digits
     norm_x_sq = norm_x * norm_x
-    if not np.isfinite(norm_x_sq):
-        raise FloatingPointError("the squared norm of the data overflows float64")
     scale = norm_x if norm_x > 0 else 1.0
     r = np.linalg.qr(t.values.reshape(n, m * k), mode="r")
     compressed = r.reshape(-1, m, k)
@@ -633,15 +631,9 @@ def posterior_stats(
     return _mode_posterior(_ContractionKernel(t.values), model, mode, alpha, beta)
 
 
-def noise_precision(resid: np.ndarray) -> float:
-    """One over the mean squared residual, capped at BETA_CAP for near-exact fits."""
-    ssq = float(np.sum(resid * resid))
-    return min(resid.size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP
-
-
 def estimate_beta(t: Tensor3, model: TuckerModel) -> float:
-    """The noise precision of the model's residual (see :func:`noise_precision`)."""
-    return noise_precision(t.values - reconstruct(model).values)
+    """The noise precision of the model's residual (see :func:`linalg.noise_precision`)."""
+    return linalg.noise_precision(t.values - reconstruct(model).values)
 
 
 def btud_fit(
@@ -680,7 +672,7 @@ def btud_fit(
 
     def residual() -> tuple[float, float]:  # norm and noise precision from one reconstruction
         resid = t.values - reconstruct(current_model()).values
-        return float(np.linalg.norm(resid.ravel())), noise_precision(resid)
+        return float(np.linalg.norm(resid.ravel())), linalg.noise_precision(resid)
 
     norm, beta = residual()
     history = [norm]
@@ -741,18 +733,12 @@ def self_consistency_check(
     for mode in (1, 2, 3):
         u = model.factor(mode)
         m = _mode_posterior(work, model, mode, alpha, beta)[0]
-        flips = np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)
-        m *= flips[:, None]
+        m *= np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)[:, None]
         deviations.append(float(np.max(np.abs(u - m))))
     core = _least_squares_core(work, model.u1, model.u2, model.u3)
     core_dev = float(np.max(np.abs(model.core - core)))
-    ok = bool(max(max(deviations), core_dev) <= tol)
-    return ConsistencyCheck(
-        self_consistent=ok,
-        mode_deviations=np.array(deviations),
-        core_deviation=core_dev,
-        tol=tol,
-    )
+    return ConsistencyCheck(self_consistent=bool(max(*deviations, core_dev) <= tol),
+                            mode_deviations=np.array(deviations), core_deviation=core_dev, tol=tol)
 
 
 # ---------------------------------------------------------------------------

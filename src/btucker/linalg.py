@@ -1,4 +1,4 @@
-"""SVD, Moore-Penrose pseudoinverse and row-wise Gram-Schmidt.
+"""SVD, Moore-Penrose pseudoinverse, row-wise Gram-Schmidt and the norms of data.
 
 The SVD wrapper fixes a deterministic sign convention (largest-magnitude
 entry of each left singular vector made positive, ties broken by lowest
@@ -18,6 +18,7 @@ from .errors import DegenerateRowError
 PINV_RTOL_FACTOR = 1e-12
 
 DEGENERATE_ROW_TOL = 1e-12
+BETA_CAP = 1e12  # largest reported noise precision, reached by near-exact fits
 
 
 @dataclass(frozen=True)
@@ -93,3 +94,18 @@ def orthonormalize_rows(u: np.ndarray, start_row: int) -> np.ndarray:
         raise DegenerateRowError(start_row, norm)
     u[start_row] = row / norm
     return u
+
+
+def squared_norm(a: np.ndarray) -> float:
+    """||a||^2 without a squared copy of `a`; FloatingPointError if it overflows float64."""
+    with np.errstate(over="ignore"):
+        ssq = float(np.vdot(a, a))
+    if not np.isfinite(ssq):
+        raise FloatingPointError("the squared norm of the data overflows float64")
+    return ssq
+
+
+def noise_precision(resid: np.ndarray) -> float:
+    """One over the mean squared residual, capped at BETA_CAP for near-exact fits."""
+    ssq = float(np.sum(resid * resid))
+    return min(resid.size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP

@@ -258,19 +258,17 @@ def svd_select(
     :func:`btud_statistic`) of decomp's mode-1 posterior at alpha = 0.  For
     this model that posterior is the SVD itself: mean U^T, taken from the
     data as diag(1/s) V^T x^T, and covariance diag(1 / (beta s^2)), with
-    beta decomp's noise precision of the model's residual.
+    beta the noise precision of the model's residual, as decomp's.
 
     On both routes a requested component whose squared singular value is at
     or below decomp.NOISE_FLOOR times the largest is noise, not signal, and
     raises DegenerateVarianceError.  A matrix whose squared norm overflows
-    float64 raises FloatingPointError before any of this.  Centring never
-    raises a column's sum of squares and scaling sets it to N, so the check
-    on the raw matrix covers the "td" route's standardized one too.
+    float64 raises FloatingPointError before any of this, as in hooi.
+    Centring never raises a column's sum of squares and scaling sets it to
+    N, so the check on the raw matrix covers the "td" route's matrix too.
     """
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):  # vdot forms no squared copy of the matrix
-        if not np.isfinite(np.vdot(x, x)):
-            raise FloatingPointError("the squared norm of the data overflows float64")
+    linalg.squared_norm(x)
     x = scored_matrix(x, mode)
     if x.ndim != 2:
         raise ValueError("expected a matrix")
@@ -286,9 +284,9 @@ def svd_select(
         fit = optimize_sigma(u_feat, comps)
         stat = td_statistic(u_feat, fit.sigma, comps)
     else:
-        beta = decomp.noise_precision(x - (res.U * res.s) @ res.V.T)
-        # U^T, as the least-squares fit on V diag(s); divided in place, since a second
-        # (L, N) temporary left 7 MB more heap behind and raised matrix-cli's peak RSS
+        beta = linalg.noise_precision(x - (res.U * res.s) @ res.V.T)
+        # U^T, as the least-squares fit on V diag(s); divided in place, since a
+        # second (L, N) temporary raised matrix-cli's peak RSS
         means = res.V.T @ x.T
         means /= res.s[:, None]
         # 1 / beta first: dividing that by power overflows only where the variance does

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from btucker.errors import DegenerateRowError
-from btucker.linalg import orthonormalize_rows, pseudoinverse, svd
+from btucker.linalg import (BETA_CAP, noise_precision, orthonormalize_rows, pseudoinverse,
+                            squared_norm, svd)
 
 
 def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):
@@ -162,3 +163,27 @@ class TestOrthonormalizeRows:
     def test_start_row_out_of_range(self):
         with pytest.raises(ValueError):
             orthonormalize_rows(np.eye(2), 5)
+
+
+class TestSquaredNorm:
+    def test_sum_of_squares_of_any_shape(self):
+        a = np.arange(24.0).reshape(2, 3, 4) - 10.0
+        assert squared_norm(a) == np.sum(a * a)
+        assert squared_norm(np.zeros((0, 3))) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [np.array([[1.0, 1e160]]), np.full((3, 3), 8e153)],
+                             ids=["one-entry", "finite-squares"])
+    def test_overflow_raises_without_a_warning(self, a):
+        with pytest.raises(FloatingPointError, match="overflows float64"):
+            squared_norm(a)
+
+
+class TestNoisePrecision:
+    def test_inverse_mean_square(self):
+        assert noise_precision(np.array([1.0, -1.0, 2.0, 0.0])) == 4 / 6
+
+    def test_capped_for_near_exact_fits(self):
+        assert noise_precision(np.zeros(5)) == BETA_CAP
+        assert noise_precision(np.full(5, 1e-10)) == BETA_CAP
+
