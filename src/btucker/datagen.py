@@ -180,7 +180,7 @@ def simulate_rcs_gcm(p: GcmParams) -> np.ndarray:
     gen = None
     for i in range(n):
         gen = _substream(p.seed, _PURPOSE_GCM_COUPLING_ROW, i, gen)
-        eps[i] = gen.random(n)
+        gen.random(out=eps[i])  # in place: no row-sized temporary per row
     g_diag = (1.0 - p.c) + p.c * np.diag(eps)
 
     for step in range(p.steps):

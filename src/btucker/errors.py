@@ -35,14 +35,29 @@ class DegenerateComponentError(NumericalDegeneracyError):
 class DegenerateVarianceError(NumericalDegeneracyError):
     """A component the chi-square statistic needs carries no variance.
 
-    value is its posterior variance (not positive) or, on the matrix routes,
-    its squared singular value (at or below the noise floor).
+    value is its posterior variance, which is not positive.
     """
 
     def __init__(self, component: int, value: float):
         self.component = component
         self.value = value
         super().__init__(f"component {component} has degenerate variance {value:.3e}")
+
+
+class NoiseFloorError(DegenerateVarianceError):
+    """On the matrix routes, a requested component is noise, not signal.
+
+    value is its squared singular value, at or below floor (the noise floor
+    times the largest squared singular value).
+    """
+
+    def __init__(self, component: int, value: float, floor: float):
+        self.component = component
+        self.value = value
+        self.floor = floor
+        NumericalDegeneracyError.__init__(
+            self, f"component {component} has squared singular value {value:.3e}, "
+                  f"at or below the noise floor {floor:.3e}")
 
 
 class SigmaOptimizationError(NumericalDegeneracyError):

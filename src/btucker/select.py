@@ -18,7 +18,12 @@ import numpy as np
 from scipy.special import gammaincc
 
 from . import decomp, linalg
-from .errors import DegenerateVarianceError, FileFormatError, SigmaOptimizationError
+from .errors import (
+    DegenerateVarianceError,
+    FileFormatError,
+    NoiseFloorError,
+    SigmaOptimizationError,
+)
 from .tensor import _read_utf8, write_csv
 
 DEFAULT_THRESHOLD = 0.05
@@ -262,8 +267,9 @@ def svd_select(
 
     On both routes a requested component whose squared singular value is at
     or below decomp.NOISE_FLOOR times the largest is noise, not signal, and
-    raises DegenerateVarianceError.  A matrix whose squared norm overflows
-    float64 raises FloatingPointError before any of this, as in hooi.
+    raises NoiseFloorError, a DegenerateVarianceError.  A matrix whose
+    squared norm overflows float64 raises FloatingPointError before any of
+    this, as in hooi.
     Centring never raises a column's sum of squares and scaling sets it to
     N, so the check on the raw matrix covers the "td" route's matrix too.
     """
@@ -275,9 +281,10 @@ def svd_select(
     comps = _component_indices(components, min(x.shape))
     res = linalg.svd(x, rank=int(comps.max()))
     power = res.s**2
+    floor = decomp.NOISE_FLOOR * power[0]
     for c in comps:
-        if power[c - 1] <= decomp.NOISE_FLOOR * power[0]:
-            raise DegenerateVarianceError(int(c), float(power[c - 1]))
+        if power[c - 1] <= floor:
+            raise NoiseFloorError(int(c), float(power[c - 1]), float(floor))
 
     if mode == "td":
         u_feat = res.U.T  # rows are components, columns are features

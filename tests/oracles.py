@@ -2,7 +2,8 @@
 
 Each reference_* function and design_matrix computes the textbook formula
 directly: full-tensor einsum contractions, the explicit (M*K, L) regression
-design, SVD pseudoinverses.
+design, SVD pseudoinverses.  reference_text_file is the per-value text
+writer that btucker.tensor's block writer must match byte for byte.
 """
 
 import numpy as np
@@ -151,3 +152,11 @@ def reference_matrix_posterior(x, rank):
     resid = x - (res.U * res.s) @ res.V.T
     beta = x.size / float(np.sum(resid * resid))
     return linalg.pseudoinverse(phi) @ x.T, linalg.pseudoinverse(beta * (phi.T @ phi))
+
+
+def reference_text_file(header: str, flat) -> bytes:
+    """A T3/M2 file as the per-value writer prints it: 8 values a line, each '{:.17g}'."""
+    lines = [header]
+    for start in range(0, len(flat), 8):
+        lines.append(" ".join(map("{:.17g}".format, flat[start : start + 8])))
+    return ("\n".join(lines) + "\n").encode()

@@ -222,6 +222,24 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err == f"error: non-finite entries in {path}\n"
 
+    # "1_0" is 10.0 to float() and "1 2 x" parses to a truncated body that matches
+    # the header; the reader rejects every one
+    @pytest.mark.parametrize("text", [
+        "M2 1 2\n1 3x\n", "M2 1 2\n1,2\n", "M2 1 2\n1 1_0\n", "M2 1 2\n1 2\x00\n",
+        "M2 1 2\n1 2 x", "T3 1 1 2\n1 3x\n", "T3 1 1 2\n1,2\n", "T3 1 1 2\n1 1_0\n",
+        "T3 1 1 2\n1\x002\n",
+    ], ids=["m2-3x", "m2-comma", "m2-underscore", "m2-nul", "m2-truncated",
+            "t3-3x", "t3-comma", "t3-underscore", "t3-nul"])
+    def test_unparsable_body_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        # T3 data needs --model; the data is read first, so no model file is made
+        code = main(["select", "--experiment", "custom", "--data", str(path),
+                     "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unparsable {text[:2]} data in {path}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("reader", ["select", "decompose", "model", "config", "truth"])
     def test_not_utf8_file_exit_2(self, tmp_path, capsys, reader):
         path = tmp_path / "bad.txt"
@@ -596,6 +614,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: component 2 ") and err.count("\n") == 1
 
+
+    @pytest.mark.parametrize("mode", ["btud", "td"])
+    def test_noise_floor_names_the_squared_singular_value(self, tmp_path, capsys, mode):
+        # component 2 of a rank-1 matrix is rounding noise; on the raw matrix (btud)
+        # its squared singular value is about 1e269, and it is still no variance
+        rng = np.random.default_rng(74)
+        x = np.outer(rng.normal(size=30), rng.normal(size=6)) * 1e150
+        tensor.write_matrix(x, tmp_path / "m.txt")
+        code = main(["select", "--experiment", "custom", "--components", "1,2",
+                     "--selection-mode", mode, "--data", str(tmp_path / "m.txt"),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: component 2 has squared singular value (\S+), "
+                             r"at or below the noise floor (\S+)\n", err)
+        assert found and float(found[1]) <= float(found[2])
 
     @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
     def test_overflowing_tensor_exit_3(self, tmp_path, capsys, dims):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from btucker import decomp
+from btucker import decomp, tensor
 from btucker.errors import FileFormatError
 from btucker.tensor import (
     Tensor3,
@@ -15,6 +17,8 @@ from btucker.tensor import (
     write_matrix,
     write_tensor,
 )
+
+from oracles import reference_text_file
 
 
 def random_tensor(dims, seed=0):
@@ -207,3 +211,71 @@ class TestTextFormat:
         path.write_text("T3 2 2 2\n1 2 3\n")
         with pytest.raises(FileFormatError):
             read_tensor(path)
+
+
+# Signed zero, the smallest subnormal, a negative subnormal, a large power of ten,
+# inexact decimals and an integer beyond 2**53.
+EDGE_VALUES = [-0.0, 5e-324, -1e-310, 1e308, 0.1, 1e22, 123456789012345678.0]
+
+
+def text_values(size, seed):
+    """EDGE_VALUES, then values across the float64 exponent range, subnormals included,
+    integers beyond 2**53 and unit normals."""
+    rng = np.random.default_rng(seed)
+    spread = rng.normal(size=size) * 10.0 ** rng.integers(-320, 300, size=size)
+    spread[1::5] = rng.integers(-(2**62), 2**62, size=spread[1::5].size)
+    spread[2::7] = rng.normal(size=spread[2::7].size)
+    head = min(size, len(EDGE_VALUES))
+    spread[:head] = EDGE_VALUES[:head]
+    return spread
+
+
+class TestWriterBytes:
+    """The block writer prints exactly the bytes of the per-value writer in oracles.py."""
+
+    # a short line only; exactly one block; 73737 values: full blocks, then a
+    # block ending in a short line
+    @pytest.mark.parametrize("shape", [(3, 5), (tensor._LINES_PER_BLOCK, 8), (8193, 9)])
+    def test_matrix(self, tmp_path, shape):
+        a = text_values(np.prod(shape), seed=shape[0]).reshape(shape)
+        write_matrix(a, tmp_path / "m.txt")
+        want = reference_text_file(f"M2 {shape[0]} {shape[1]}", a.ravel(order="C"))
+        assert (tmp_path / "m.txt").read_bytes() == want
+        assert np.array_equal(read_matrix(tmp_path / "m.txt"), a)
+
+    @pytest.mark.parametrize("dims", [(3, 5, 7), (41, 40, 41)])
+    def test_tensor(self, tmp_path, dims):
+        t = Tensor3(text_values(np.prod(dims), seed=dims[0]).reshape(dims))
+        write_tensor(t, tmp_path / "t.txt")
+        want = reference_text_file("T3 {} {} {}".format(*dims), t.values.ravel(order="F"))
+        assert (tmp_path / "t.txt").read_bytes() == want
+        assert read_tensor(tmp_path / "t.txt") == t
+
+
+class TestReaderStrictness:
+    @pytest.mark.parametrize("body", ["", " ", "\n", " \r\n\t"])
+    def test_blank_body_is_not_a_value(self, tmp_path, body):
+        # np.fromstring reads a body of only whitespace as [-1.0]
+        path = tmp_path / "m.txt"
+        path.write_text(f"M2 1 1\n{body}")
+        with pytest.raises(FileFormatError, match="bad header"):
+            read_matrix(path)
+
+    def test_truncating_parse_is_an_error(self, tmp_path, monkeypatch):
+        # numpy 1.x warns on a bad token and returns the values before it
+        def fromstring(body, dtype, sep):
+            warnings.warn("string or file could not be read to its end due to unmatched data; "
+                          "this will raise a ValueError in the future.", DeprecationWarning)
+            return np.array([1.0, 2.0])
+
+        monkeypatch.setattr(tensor.np, "fromstring", fromstring)
+        path = tmp_path / "m.txt"
+        path.write_text("M2 1 2\n1 2 x\n")
+        with pytest.raises(FileFormatError, match="unparsable M2 data"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("body", ["1\t2\r\n3  4", "\n1 2\n3 4\n\n", "1e0 +2 3. .4e1"])
+    def test_any_ascii_whitespace_separates(self, tmp_path, body):
+        path = tmp_path / "m.txt"
+        path.write_text(f"M2 2 2\n{body}", newline="")
+        assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
