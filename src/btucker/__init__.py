@@ -1,7 +1,7 @@
 """Bayesian Tucker decomposition of order-3 tensors with unsupervised feature selection.
 
 Modules: :mod:`btucker.tensor` (storage/unfolding), :mod:`btucker.linalg`
-(SVD, pseudoinverse, Gram-Schmidt), :mod:`btucker.decomp` (HOOI, the
+(SVD, regularized Gram inverse, Gram-Schmidt), :mod:`btucker.decomp` (HOOI, the
 alternating-regression solver, posterior statistics), :mod:`btucker.select`
 (chi-square feature statistics, BH correction), :mod:`btucker.datagen`
 (seeded benchmark generators), :mod:`btucker.cli` (command-line front end).

@@ -16,16 +16,16 @@ mode m as :func:`~btucker.tensor.unfold` orders its columns.  With G(m) the
 core unfolded the same way, for any factors, orthonormal or not,
 
     Phi(m)^T X(m)^T = G(m) Y(m)^T,
-    Phi(m)^T Phi(m) = G(m) (Ub Ub^T kron Uc Uc^T) G(m)^T,
+    Phi(m)^T Phi(m) = (G(m) K)(G(m) K)^T,  K K^T = Ub Ub^T kron Uc Uc^T,
 
 so the (M*K, L) design Phi(m) is never formed (the tests keep it as the
-reference) and every regression is one L x L solve,
-pinv(gram + ridge*I) @ rhs, for alpha = 0 and alpha > 0 alike.  The
-posterior is S = pinv(alpha*I + beta*Phi^T Phi) with mean beta*S*Phi^T x.
-The pseudoinverse of the L x L Gram drops eigenvalues below 1e-12 * L times
-the largest: singular values of Phi below sqrt(1e-12 * L) times the largest.
-The least-squares core is the data contracted with u_m, or pinv(u_m)^T, in
-every mode; no (L1*L2*L3)-sided matrix is formed.  :func:`hooi` runs the same
+reference) and every regression is one L x L solve, (gram + ridge*I)^+ @ rhs
+for alpha = 0 and alpha > 0 alike, the inverse taken from the SVD of G(m) K
+(:func:`~btucker.linalg.gram_inverse`), never from the Gram, whose condition
+number is the square of Phi's.  The posterior is S = (alpha*I + beta*Phi^T
+Phi)^+ with mean beta*S*Phi^T x.  The least-squares core is the data
+contracted with u_m, or pinv(u_m)^T = (u_m u_m^T)^+ u_m, in every mode; no
+(L1*L2*L3)-sided matrix is formed.  :func:`hooi` runs the same
 kernel on G = R^T R, the Gram matrix of its QR-compressed mode-1 unfolding,
 whenever G is no larger than R (N >= M*K).
 """
@@ -199,16 +199,16 @@ class _ContractionKernel:
         return y.reshape(-1, d, y.shape[1]).transpose(1, 0, 2).reshape(d, -1)
 
 
-def _kron_gram(factors, mode: int) -> np.ndarray:
-    """Ub Ub^T kron Uc Uc^T over the two other modes, so Phi^T Phi = G(m) (this) G(m)^T."""
+def _kron_root(factors, mode: int) -> np.ndarray:
+    """K = R_b^T kron R_c^T from the QRs of Ub^T and Uc^T, so K K^T = Ub Ub^T kron Uc Uc^T."""
     _, p, q = UNFOLD_AXES[mode]
-    return np.kron(factors[q] @ factors[q].T, factors[p] @ factors[p].T)
+    return np.kron(*(np.linalg.qr(factors[i].T, mode="r").T for i in (q, p)))
 
 
 def _core_factor(u: np.ndarray) -> np.ndarray:
     """The core solve's map: u, or pinv(u)^T if u is over ORTHONORMALITY_TOL from orthonormal."""
     defect = float(np.max(np.abs(u @ u.T - np.eye(u.shape[0]))))
-    return u if defect <= ORTHONORMALITY_TOL else linalg.pseudoinverse(u).T
+    return u if defect <= ORTHONORMALITY_TOL else linalg.gram_inverse(u) @ u
 
 
 def _top_eigenpairs(gram: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -245,7 +245,7 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
         u = vecs.T if wide else (b @ vecs).T / np.sqrt(vals)[:, None]
     else:
         res = linalg.svd(b, rank=rank)
-        kept = res.U[:, res.s > max(b.shape) * np.finfo(float).eps * res.s[0]]
+        kept = res.U[:, linalg._above_rank_cutoff(res.s, b.shape)]
         u = np.linalg.qr(np.hstack((kept, np.eye(b.shape[0], rank))))[0][:, :rank].T
     return u * linalg._sign_flips(u)[:, None]
 
@@ -594,26 +594,24 @@ def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) 
 
 
 def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: float) -> None:
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if not 0 < beta <= sys.float_info.max:  # NaN fails, as in load_model
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if not 0 <= alpha <= sys.float_info.max:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if model.dims != t.dims:
         raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
 
 
 def _mode_posterior(work: _ContractionKernel, model: TuckerModel, mode: int,
                     alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean pinv(gram + alpha/beta I) G(m) Y(m)^T and covariance pinv(alpha I + beta gram).
+    """Mean (gram + alpha/beta I)^+ G(m) Y(m)^T and covariance (alpha I + beta gram)^+.
 
-    gram is Phi(m)^T Phi(m) (see the module docstring); the covariance is symmetrized.
+    gram is Phi(m)^T Phi(m), inverted from the SVD of G(m) K (see the module docstring).
     """
     factors = (model.u1, model.u2, model.u3)
     g = _unfolding(model.core, mode)
-    gram = g @ _kron_gram(factors, mode) @ g.T
-    inv = linalg.pseudoinverse(gram + (alpha / beta) * np.eye(gram.shape[0]))
-    cov = inv / beta
-    return inv @ (g @ work.contracted(*factors, mode).T), 0.5 * (cov + cov.T)
+    inv = linalg.gram_inverse(g @ _kron_root(factors, mode), alpha / beta)
+    return inv @ (g @ work.contracted(*factors, mode).T), inv / beta
 
 
 def posterior_stats(
@@ -647,7 +645,7 @@ def btud_fit(
 
     One sweep visits modes 1, 2, 3 in order.  Within a mode, components are
     processed one at a time: the coefficients of every fiber are solved as
-    pinv(Phi^T Phi + alpha*I) Phi^T X^T for the current core and other
+    (Phi^T Phi + alpha*I)^+ Phi^T X^T for the current core and other
     factors, the component's row is orthogonalized against earlier rows and
     normalized, and the core is re-solved.  The other two factors stay fixed
     within a mode, so Y(m) is contracted once per mode (see the module
@@ -656,8 +654,8 @@ def btud_fit(
     the final residual.  The report leaves self_consistent and
     max_mode_deviation None: :func:`self_consistency_check` certifies a fit.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if not 0 <= alpha <= sys.float_info.max:  # NaN fails, as in load_model
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if init.dims != t.dims:
@@ -682,11 +680,11 @@ def btud_fit(
             y = work.contracted(*factors, mode)
             p = [_core_factor(u) for u in factors]  # the core solve's maps, as in core_regression
             y_core = y if all(a is b for a, b in zip(p, factors)) else work.contracted(*p, mode)
-            other_gram = _kron_gram(factors, mode)
+            root = _kron_root(factors, mode)
             u = factors[mode - 1]
             for comp in range(u.shape[0]):
                 g = _unfolding(core, mode)
-                ridge = linalg.pseudoinverse(g @ other_gram @ g.T + alpha * np.eye(g.shape[0]))
+                ridge = linalg.gram_inverse(g @ root, alpha)
                 u[comp] = (ridge[comp] @ g) @ y.T
                 try:
                     factors[mode - 1] = linalg.orthonormalize_rows(u, comp)

@@ -1,4 +1,4 @@
-"""SVD, Moore-Penrose pseudoinverse, row-wise Gram-Schmidt and the norms of data.
+"""SVD, the regularized Gram inverse, row-wise Gram-Schmidt and the norms of data.
 
 The SVD wrapper fixes a deterministic sign convention (largest-magnitude
 entry of each left singular vector made positive, ties broken by lowest
@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRowError
-
-# Relative singular-value cutoff for the pseudoinverse; values below
-# PINV_RTOL_FACTOR * max(rows, cols) * s_max are treated as zero.
-PINV_RTOL_FACTOR = 1e-12
 
 DEGENERATE_ROW_TOL = 1e-12
 BETA_CAP = 1e12  # largest reported noise precision, reached by near-exact fits
@@ -59,21 +55,23 @@ def svd(a: np.ndarray, rank: int | None = None) -> SvdResult:
     return SvdResult(U=u, s=s, V=vt.T)
 
 
-def pseudoinverse(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with a relative cutoff.
+def _above_rank_cutoff(s: np.ndarray, shape) -> np.ndarray:
+    """s > max(shape) eps s[0], np.linalg.matrix_rank's cutoff: the values not rounding noise."""
+    return s > max(shape) * np.finfo(float).eps * s[0]
 
-    Reduces to (A^T A)^{-1} A^T for full-column-rank A but stays defined for
-    rank-deficient input, which the alternating solver can produce.
+
+def gram_inverse(b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+    """(b b^T + ridge I)^+ = U diag(1 / (s^2 + ridge)) U^T, from the SVD b = U S V^T, U square.
+
+    b b^T, whose condition number is the square of b's, is never formed.  At
+    ridge 0 the s at or below :func:`_above_rank_cutoff` count as zero; then
+    gram_inverse(b) @ b is pinv(b)^T, the least-squares map of a regression on b's rows.
     """
-    a = np.asarray(a, dtype=np.float64)
-    res = svd(a)
-    if res.s.size == 0 or res.s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    cutoff = PINV_RTOL_FACTOR * max(a.shape) * res.s[0]
-    keep = res.s > cutoff
-    inv_s = np.zeros_like(res.s)
-    inv_s[keep] = 1.0 / res.s[keep]
-    return (res.V * inv_s) @ res.U.T
+    u, s, _ = np.linalg.svd(b, full_matrices=b.shape[0] > b.shape[1])  # U is square
+    s = np.concatenate((s, np.zeros(u.shape[1] - s.size)))
+    keep = slice(None) if ridge > 0 else _above_rank_cutoff(s, b.shape)
+    root = u[:, keep] / np.hypot(s[keep], np.sqrt(ridge))
+    return root @ root.T
 
 
 def orthonormalize_rows(u: np.ndarray, start_row: int) -> np.ndarray:

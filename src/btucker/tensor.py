@@ -192,11 +192,14 @@ def _parse_floats(body: str) -> np.ndarray:
 
 def _read_text(path, tag: str, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Header dims and flat values of a `tag` file; FileFormatError on any defect."""
-    header, body = _read_utf8(path, lambda fh: (fh.readline().split(), fh.read()))
+    line, body = _read_utf8(path, lambda fh: (fh.readline(), fh.read()))
+    header = line.split()
     if len(header) != ndim + 1 or header[0] != tag:
         raise FileFormatError(f"not a {tag} file: {path}")
+    if not (line.isascii() and all(x.isdigit() for x in header[1:])):  # int() takes +1, 1_0, non-ASCII digits
+        raise FileFormatError(f"bad header {tag} in {path}: dims must be ASCII digits")
+    dims = tuple(int(x) for x in header[1:])
     try:
-        dims = tuple(int(x) for x in header[1:])
         flat = _parse_floats(body)
     except (ValueError, DeprecationWarning) as exc:
         raise FileFormatError(f"unparsable {tag} data in {path}: {exc}") from exc

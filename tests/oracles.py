@@ -2,8 +2,9 @@
 
 Each reference_* function and design_matrix computes the textbook formula
 directly: full-tensor einsum contractions, the explicit (M*K, L) regression
-design, SVD pseudoinverses.  reference_text_file is the per-value text
-writer that btucker.tensor's block writer must match byte for byte.
+design, the SVD pseudoinverse with its own cutoff (:func:`pseudoinverse`).
+reference_text_file is the per-value text writer that btucker.tensor's block
+writer must match byte for byte.
 """
 
 import numpy as np
@@ -11,6 +12,27 @@ import numpy as np
 from btucker import linalg
 from btucker.decomp import ORTHONORMALITY_TOL, TuckerModel, estimate_beta
 from btucker.tensor import reconstruct, unfold
+
+# Relative singular-value cutoff for the pseudoinverse; values below
+# PINV_RTOL_FACTOR * max(rows, cols) * s_max are treated as zero.
+PINV_RTOL_FACTOR = 1e-12
+
+
+def pseudoinverse(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse via SVD with a relative cutoff.
+
+    Reduces to (A^T A)^{-1} A^T for full-column-rank A but stays defined for
+    rank-deficient input, which the alternating solver can produce.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    res = linalg.svd(a)
+    if res.s.size == 0 or res.s[0] == 0.0:
+        return np.zeros((a.shape[1], a.shape[0]))
+    cutoff = PINV_RTOL_FACTOR * max(a.shape) * res.s[0]
+    keep = res.s > cutoff
+    inv_s = np.zeros_like(res.s)
+    inv_s[keep] = 1.0 / res.s[keep]
+    return (res.V * inv_s) @ res.U.T
 
 
 def design_matrix(model: TuckerModel, mode: int) -> np.ndarray:
@@ -79,7 +101,7 @@ def reference_core_regression(t, u1, u2, u3):
     """The least-squares core by full-tensor einsum: projected if every factor is orthonormal."""
     defect = max(float(np.max(np.abs(u @ u.T - np.eye(u.shape[0])))) for u in (u1, u2, u3))
     if defect > ORTHONORMALITY_TOL:
-        u1, u2, u3 = (linalg.pseudoinverse(u).T for u in (u1, u2, u3))
+        u1, u2, u3 = (pseudoinverse(u).T for u in (u1, u2, u3))
     return np.einsum("ijk,ai,bj,ck->abc", t.values, u1, u2, u3, optimize=True)
 
 
@@ -113,9 +135,9 @@ def reference_btud_fit(t, init, alpha, max_sweeps, tol):
             for comp in range(u.shape[0]):
                 phi = design_matrix(current_model(), mode)
                 if alpha == 0.0:
-                    coef = linalg.pseudoinverse(phi) @ xm.T
+                    coef = pseudoinverse(phi) @ xm.T
                 else:
-                    ridge = linalg.pseudoinverse(phi.T @ phi + alpha * np.eye(phi.shape[1]))
+                    ridge = pseudoinverse(phi.T @ phi + alpha * np.eye(phi.shape[1]))
                     coef = ridge @ phi.T @ xm.T
                 u[comp] = coef[comp]
                 factors[mode - 1] = linalg.orthonormalize_rows(u, comp)
@@ -136,7 +158,8 @@ def reference_posterior(t, model, mode, alpha, beta):
     phi = design_matrix(model, mode)
     xm = unfold(t, mode)
     if alpha == 0.0:
-        return linalg.pseudoinverse(phi) @ xm.T, linalg.pseudoinverse(beta * (phi.T @ phi))
+        p = pseudoinverse(phi)  # (Phi^T Phi)^+ = Phi^+ Phi^+T, without squaring Phi's condition
+        return p @ xm.T, p @ p.T / beta
     cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * (phi.T @ phi))
     return beta * cov @ phi.T @ xm.T, cov
 
@@ -151,7 +174,7 @@ def reference_matrix_posterior(x, rank):
     phi = res.V * res.s
     resid = x - (res.U * res.s) @ res.V.T
     beta = x.size / float(np.sum(resid * resid))
-    return linalg.pseudoinverse(phi) @ x.T, linalg.pseudoinverse(beta * (phi.T @ phi))
+    return pseudoinverse(phi) @ x.T, pseudoinverse(beta * (phi.T @ phi))
 
 
 def reference_text_file(header: str, flat) -> bytes:

@@ -240,6 +240,21 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err.startswith(f"error: unparsable {text[:2]} data in {path}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        "M2 1_0 1\n" + "1 " * 10, "M2 +2 1\n1 2\n", "M2 \u0662 1\n1 2\n", "M2\u00a02 1\n1 2\n",
+        "M2 2.0 1\n1 2\n", "T3 1 1 -2\n1 2\n", "T3 1 1 0x2\n1 2\n", "T3 1 1 \uff12\n1 2\n",
+    ], ids=["m2-underscore", "m2-plus", "m2-arabic-indic", "m2-nbsp", "m2-decimal",
+            "t3-minus", "t3-hex", "t3-fullwidth"])
+    def test_header_dims_not_ascii_digits_exit_2(self, tmp_path, capsys, text):
+        # int() would read 1_0 as 10, +2 as 2 and non-ASCII digits as their values
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        code = main(["select", "--experiment", "custom", "--data", str(path),
+                     "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad header {text[:2]} in {path}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("reader", ["select", "decompose", "model", "config", "truth"])
     def test_not_utf8_file_exit_2(self, tmp_path, capsys, reader):
         path = tmp_path / "bad.txt"

@@ -214,6 +214,18 @@ class TestHooi:
         check = self_consistency_check(t, model, alpha=0.0, beta=estimate_beta(t, model))
         assert check.self_consistent
 
+    @pytest.mark.parametrize("spike", [1e8, 1e10, 1e12])
+    def test_large_spike_certifies(self, spike):
+        # the core unfoldings' singular values span over 1e7, their Grams' over 1e14: a solve
+        # that squares G(m) loses the weak direction to rounding
+        x = np.random.default_rng(0).standard_normal((10, 4, 4))
+        x[0, 0, 0] = spike
+        t = Tensor3(x)
+        model, report = hooi(t, (2, 2, 2))
+        assert report.converged
+        check = self_consistency_check(t, model, alpha=0.0, beta=estimate_beta(t, model))
+        assert check.self_consistent and check.max_mode_deviation < 1e-7
+
     def test_max_iter_stop_reason(self):
         t = random_tensor((10, 8, 6), seed=46)
         _, report = hooi(t, (3, 3, 3), max_iter=2, tol=1e-15)
@@ -418,23 +430,30 @@ class TestBtudMatchesReference:
 class TestPosteriorMatchesDesignMatrix:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("mode", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["orthonormal", "general", "rank-deficient"])
+    @pytest.mark.parametrize("kind", ["orthonormal", "general", "rank-deficient", "ill-conditioned"])
     def test_mean_and_cov(self, kind, mode, alpha):
         dims, ranks = (7, 6, 5), (3, 2, 2)
         model = random_model(dims, ranks, seed=52)
         core, factors = model.core.copy(), (model.u1, model.u2, model.u3)
+        rtol = 1e-12
         if kind == "general":
             rng = np.random.default_rng(53)
             factors = tuple(rng.normal(size=u.shape) for u in factors)
         elif kind == "rank-deficient":
             np.moveaxis(core, mode - 1, 0)[1] = 0.0  # G(m) loses a row
+        elif kind == "ill-conditioned":
+            # G(m)'s singular values span 1e7, the Gram's 1e14: squaring G(m) loses the weakest
+            g = np.moveaxis(core, mode - 1, 0)
+            u, s, vt = np.linalg.svd(g.reshape(g.shape[0], -1), full_matrices=False)
+            g[...] = ((u * np.logspace(0, -7, s.size)) @ vt).reshape(g.shape)
+            rtol = 1e-8  # about eps times the condition number of Phi, 1e7
         model = TuckerModel(core, *factors)
         t = random_tensor(dims, seed=54)
         beta = 1.7
         mean, cov = posterior_stats(t, model, mode, alpha=alpha, beta=beta)
         want_mean, want_cov = reference_posterior(t, model, mode, alpha, beta)
-        assert np.max(np.abs(mean - want_mean)) < 1e-12 * max(1.0, np.max(np.abs(want_mean)))
-        assert np.max(np.abs(cov - want_cov)) < 1e-12 * np.max(np.abs(want_cov))
+        assert np.max(np.abs(mean - want_mean)) < rtol * max(1.0, np.max(np.abs(want_mean)))
+        assert np.max(np.abs(cov - want_cov)) < rtol * np.max(np.abs(want_cov))
 
 
 class TestDesignMatrix:
@@ -587,6 +606,19 @@ class TestPosteriorStats:
         with pytest.raises(ValueError):
             posterior_stats(t, model, 1, alpha=0.0, beta=0.0)
 
+    @pytest.mark.parametrize("alpha, beta, name", [
+        (float("nan"), 1.0, "alpha"), (float("inf"), 1.0, "alpha"), (-1.0, 1.0, "alpha"),
+        (0.0, float("nan"), "beta"), (0.0, float("inf"), "beta"), (0.0, -1.0, "beta"),
+    ], ids=["nan-alpha", "inf-alpha", "negative-alpha", "nan-beta", "inf-beta", "negative-beta"])
+    def test_non_finite_or_out_of_range_precision_rejected(self, alpha, beta, name):
+        # NaN fails every comparison, so a sign test alone lets it through to the SVD
+        model = random_model((4, 3, 3), (1, 1, 1))
+        t = random_tensor((4, 3, 3))
+        for call in (lambda: posterior_stats(t, model, 1, alpha=alpha, beta=beta),
+                     lambda: self_consistency_check(t, model, alpha=alpha, beta=beta)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                call()
+
 
 class TestEstimateBeta:
     def test_unit_residuals(self):
@@ -670,6 +702,12 @@ class TestBtudFit:
         model, _, _ = btud_fit(t, init, alpha=10.0, max_sweeps=2, tol=1e-10)
         for u in (model.u1, model.u2, model.u3):
             assert np.max(np.abs(u @ u.T - np.eye(u.shape[0]))) < 1e-8
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        t = random_tensor((4, 4, 4), seed=36)
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0"):
+            btud_fit(t, hosvd_init(t, (2, 2, 2)), alpha=alpha)
 
     def test_degenerate_component_error(self):
         # all-zero tensor: the first regression returns a zero row

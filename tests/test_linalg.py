@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from btucker.errors import DegenerateRowError
-from btucker.linalg import (BETA_CAP, noise_precision, orthonormalize_rows, pseudoinverse,
+from btucker.linalg import (BETA_CAP, gram_inverse, noise_precision, orthonormalize_rows,
                             squared_norm, svd)
 
 
@@ -88,18 +88,25 @@ class TestSvd:
             svd(np.eye(2), rank=0)
 
 
+def pinv_of(a):
+    """pinv(a) as gram_inverse gives it: (a a^T)^+ a is pinv(a)^T."""
+    return (gram_inverse(a) @ a).T
+
+
 class TestPseudoinverse:
+    """pinv(a), as the core solve takes it from gram_inverse."""
+
     def test_identity(self):
-        assert np.allclose(pseudoinverse(np.eye(4)), np.eye(4), atol=1e-12)
+        assert np.allclose(pinv_of(np.eye(4)), np.eye(4), atol=1e-12)
 
     def test_singular_diagonal(self):
         a = np.diag([2.0, 0.0])
-        assert np.allclose(pseudoinverse(a), np.diag([0.5, 0.0]), atol=1e-12)
+        assert np.allclose(pinv_of(a), np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_full_rank_against_normal_equations(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=(8, 3))
-        p = pseudoinverse(a)
+        p = pinv_of(a)
         oracle = np.linalg.inv(a.T @ a) @ a.T
         assert np.max(np.abs(p - oracle)) < 1e-8
         assert np.max(np.abs(p @ a - np.eye(3))) < 1e-8
@@ -111,7 +118,7 @@ class TestPseudoinverse:
         # make one rank-deficient variant too
         if seed == 3:
             a[:, -1] = a[:, 0]
-        p = pseudoinverse(a)
+        p = pinv_of(a)
         na = np.linalg.norm(a)
         ap, pa = a @ p, p @ a
         assert np.linalg.norm(a @ p @ a - a) / na < 1e-8
@@ -120,7 +127,24 @@ class TestPseudoinverse:
         assert np.linalg.norm(pa.T - pa) / max(na, 1) < 1e-8
 
     def test_zero_matrix(self):
-        assert np.array_equal(pseudoinverse(np.zeros((3, 2))), np.zeros((2, 3)))
+        assert np.array_equal(pinv_of(np.zeros((3, 2))), np.zeros((2, 3)))
+
+
+class TestGramInverse:
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
+    def test_ridge_against_the_inverse(self, shape):
+        a = np.random.default_rng(14).normal(size=shape)
+        want = np.linalg.inv(a @ a.T + 0.3 * np.eye(shape[0]))
+        assert np.max(np.abs(gram_inverse(a, 0.3) - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_condition_1e7_against_numpy_pinv(self):
+        # a a^T has condition 1e14: a pseudoinverse of it with a 1e-12 cutoff drops a direction
+        rng = np.random.default_rng(15)
+        u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        v = np.linalg.qr(rng.normal(size=(6, 4)))[0]
+        a = (u * np.logspace(0, -7, 4)) @ v.T
+        want = np.linalg.pinv(a)
+        assert np.max(np.abs(pinv_of(a) - want)) < 1e-8 * np.max(np.abs(want))
 
 
 class TestOrthonormalizeRows:
