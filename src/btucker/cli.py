@@ -244,9 +244,12 @@ def select_from_tensor(
     return select.select_features(p, threshold=cfg.threshold, statistic=stat, dof=len(components))
 
 
-def select_from_matrix(x: np.ndarray, cfg: ExperimentConfig) -> select.SelectionResult:
+def select_from_matrix(
+    x: np.ndarray, cfg: ExperimentConfig
+) -> tuple[select.SelectionResult, linalg.SvdResult]:
+    """The selection, and the SVD it scored (see :func:`select.svd_select_factors`)."""
     components = choose_components(cfg, None)
-    return select.svd_select(
+    return select.svd_select_factors(
         x, components, mode=cfg.selection_mode, threshold=cfg.threshold
     )
 
@@ -271,7 +274,7 @@ def run_member(cfg: ExperimentConfig, seed: int) -> dict:
         result = select_from_tensor(data, model, cfg, beta=beta)
         out["self_consistent"] = report.self_consistent
     else:
-        result = select_from_matrix(data, cfg)
+        result, _ = select_from_matrix(data, cfg)
     out["selected_count"] = result.n_selected
     if truth is not None:
         out["confusion"] = confusion_counts(result.selected, truth)
@@ -334,8 +337,8 @@ def cmd_select(data_path: Path, model_path: Path | None, cfg: ExperimentConfig, 
         model, meta = decomp.load_model(model_path)
         result = select_from_tensor(t, model, cfg, beta=meta.get("beta"))
     else:
-        x = tensor.read_matrix(data_path)
-        result = select_from_matrix(x, cfg)
+        result, svd = select_from_matrix(tensor.read_matrix(data_path), cfg)
+        select.write_factors_json(svd, out_dir / "factors.json")
     select.write_selection_csv(result, out_dir / "selection.csv")
     print(f"selected {result.n_selected} of {result.p_raw.size}")
     return EXIT_OK
@@ -389,39 +392,44 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_report(cfg: ExperimentConfig, run_dir: Path) -> int:
+def cmd_report(run_dir: Path) -> int:
     """Emit plot-ready CSVs from the artifacts of a prior run in run_dir."""
     data_path = run_dir / "data.txt"
     selection_path = run_dir / "selection.csv"
     if not data_path.exists() or not selection_path.exists():
         raise OSError(f"missing data.txt or selection.csv under {run_dir}")
+    # only the header: matrix runs plot the factors that select kept, tensor runs the model's
+    kind = tensor.data_kind(data_path)
+    factors_path = run_dir / ("model.json" if kind == "tensor" else "factors.json")
+    if not factors_path.exists():
+        raise OSError(f"missing {factors_path.name} under {run_dir}")
+    if kind == "tensor":
+        model, _ = decomp.load_model(factors_path)
+        u = model.u1
+    else:
+        u, v = select.read_factors_json(factors_path)
     selected = select.read_selection_csv(selection_path).selected.astype(int)
     truth_path = run_dir / "truth.csv"
     truth = datagen.read_truth_csv(truth_path).astype(int) if truth_path.exists() else None
+    for name, other in (("truth", truth), (factors_path.name, u[0])):
+        if other is not None and other.size != selected.size:
+            raise ValueError(f"selection length {selected.size} != {name} length {other.size}")
     truth_col = truth if truth is not None else [""] * selected.size
     index = range(1, selected.size + 1)
 
-    if tensor.data_kind(data_path) == "tensor":
-        model_path = run_dir / "model.json"
-        if not model_path.exists():
-            raise OSError(f"missing model.json under {run_dir}")
-        model, _ = decomp.load_model(model_path)
+    if kind == "tensor":
         tensor.write_csv(run_dir / "u1i.csv", ["feature_index", "u1", "truth", "selected"],
-                         zip(index, model.u1[0], truth_col, selected, strict=True))
-        for name, u in (("j", model.u2), ("k", model.u3)):
-            groups = [1 if i < u.shape[1] // 2 else 2 for i in range(u.shape[1])]
+                         zip(index, u[0], truth_col, selected, strict=True))
+        for name, w in (("j", model.u2), ("k", model.u3)):
+            groups = [1 if i < w.shape[1] // 2 else 2 for i in range(w.shape[1])]
             tensor.write_csv(run_dir / f"u1{name}.csv", [name, "value", "group"],
-                             zip(range(1, u.shape[1] + 1), u[0], groups, strict=True))
+                             zip(range(1, w.shape[1] + 1), w[0], groups, strict=True))
     else:
-        # matrix runs keep no model file; factors come from the matrix the selection scored
-        x = select.scored_matrix(tensor.read_matrix(data_path), cfg.selection_mode)
-        svd = linalg.svd(x, rank=2)
-        u, v = (np.pad(a, ((0, 0), (0, 2 - svd.rank))) for a in (svd.U, svd.V))  # u2 = 0 at rank 1
         tensor.write_csv(run_dir / "u1u2_scatter.csv",
                          ["feature_index", "u1i", "u2i", "truth", "selected"],
-                         zip(index, u[:, 0], u[:, 1], truth_col, selected, strict=True))
+                         zip(index, u[0], u[1], truth_col, selected, strict=True))
         tensor.write_csv(run_dir / "uj_series.csv", ["j", "u1j", "u2j"],
-                         zip(range(1, v.shape[0] + 1), v[:, 0], v[:, 1], strict=True))
+                         zip(range(1, v.shape[1] + 1), v[0], v[1], strict=True))
         for name, flag in (("selected_rows.csv", 1), ("unselected_rows.csv", 0)):
             tensor.write_csv(run_dir / name, ["feature_index"],
                              ([i] for i, chosen in zip(index, selected) if chosen == flag))
@@ -503,7 +511,7 @@ def main(argv=None) -> int:
             return cmd_ensemble(cfg, out_dir, threads=args.threads)
         if args.command == "report":
             run_dir = Path(args.run_dir) if args.run_dir else out_dir
-            return cmd_report(cfg, run_dir)
+            return cmd_report(run_dir)
         raise ValueError(f"unknown command {args.command!r}")
     except (NumericalDegeneracyError, FloatingPointError) as exc:  # overflow is degeneracy
         print(f"error: {exc}", file=sys.stderr)

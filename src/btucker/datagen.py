@@ -17,6 +17,8 @@ transform keeps golden files portable across library versions.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,9 @@ from .errors import DivergenceError, FileFormatError
 from .tensor import Tensor3, _read_utf8, write_csv
 
 DIVERGENCE_LIMIT = 1e6
+# Threads that fill the coupling matrix, at most: `ensemble --threads N` runs N
+# processes, each with its own fill threads.
+MAX_FILL_THREADS = 4
 
 # Purpose tags for substream keys (documented, stable).
 _PURPOSE_BLOCK_ROW = 1
@@ -168,19 +173,15 @@ def simulate_rcs_gcm(p: GcmParams) -> np.ndarray:
 
     Initial values x_{i,0} are uniform on [0, 1] and are not included in the
     output.  Coupling entries come from one keyed substream per row, so the
-    dense N x N matrix is regenerable row by row; at the default N = 1e4 it
-    is materialized once (~0.8 GB).  Raises DivergenceError when any |x|
-    exceeds 1e6.
+    dense N x N matrix is regenerable row by row and is filled by up to
+    MAX_FILL_THREADS threads; at the default N = 1e4 it is materialized
+    once (~0.8 GB).  Raises DivergenceError when any |x| exceeds 1e6.
     """
     n = p.N
     x = _substream(p.seed, _PURPOSE_GCM_INITIAL).random(n)
     out = np.empty((n, p.steps))
 
-    eps = np.empty((n, n))
-    gen = None
-    for i in range(n):
-        gen = _substream(p.seed, _PURPOSE_GCM_COUPLING_ROW, i, gen)
-        gen.random(out=eps[i])  # in place: no row-sized temporary per row
+    eps = _coupling_matrix(n, p.seed, _fill_threads())
     g_diag = (1.0 - p.c) + p.c * np.diag(eps)
 
     for step in range(p.steps):
@@ -191,6 +192,33 @@ def simulate_rcs_gcm(p: GcmParams) -> np.ndarray:
             raise DivergenceError(step + 1)
         out[:, step] = x
     return out
+
+
+def _fill_threads() -> int:
+    """One per CPU this process may run on, at most MAX_FILL_THREADS."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(usable or 1, MAX_FILL_THREADS))
+
+
+def _coupling_matrix(n: int, seed: int, threads: int) -> np.ndarray:
+    """The (n, n) uniform coupling entries, row i from its own keyed substream.
+
+    `threads` threads fill contiguous blocks of rows, each re-keying its own
+    generator, so the matrix is bitwise the same for any thread count.  Only
+    private code runs in the threads: the benchmark's tracer is not thread-safe.
+    """
+    eps = np.empty((n, n))
+
+    def fill(rows: range) -> None:
+        gen = None
+        for i in rows:
+            gen = _substream(seed, _PURPOSE_GCM_COUPLING_ROW, i, gen)
+            gen.random(out=eps[i])  # in place, and numpy releases the GIL while it fills
+
+    blocks = [range(n * t // threads, n * (t + 1) // threads) for t in range(threads)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, blocks))  # list() re-raises a thread's exception
+    return eps
 
 
 def write_truth_csv(mask: np.ndarray, path) -> None:

@@ -12,6 +12,7 @@ report files (component 1 is the leading one).
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     NoiseFloorError,
     SigmaOptimizationError,
 )
-from .tensor import _read_utf8, write_csv
+from .tensor import _read_utf8, write_csv, write_json
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_BINS = 100
@@ -238,7 +239,7 @@ def scored_matrix(x: np.ndarray, mode: str) -> np.ndarray:
     """The matrix whose SVD the `mode` route of :func:`svd_select` scores.
 
     "td" scores the column-standardized matrix (:func:`standardize_columns`),
-    "btud" the raw one.  Reports take their factors from the same matrix.
+    "btud" the raw one.  The factors that reports plot are this matrix's too.
     """
     if mode not in ("td", "btud"):
         raise ValueError(f"mode must be 'td' or 'btud', got {mode!r}")
@@ -250,6 +251,16 @@ def svd_select(
     x: np.ndarray, components, mode: str = "btud", threshold: float = DEFAULT_THRESHOLD
 ) -> SelectionResult:
     """Feature selection for matrix data (features are rows) through the SVD.
+
+    See :func:`svd_select_factors`, which also returns the SVD it scored.
+    """
+    return svd_select_factors(x, components, mode, threshold)[0]
+
+
+def svd_select_factors(
+    x: np.ndarray, components, mode: str = "btud", threshold: float = DEFAULT_THRESHOLD
+) -> tuple[SelectionResult, linalg.SvdResult]:
+    """Matrix feature selection, and the SVD of the scored matrix at rank max(L, 2).
 
     mode "td" standardizes every sample column across features (see
     :func:`standardize_columns`) and scores rows by the left-singular-vector
@@ -272,6 +283,11 @@ def svd_select(
     this, as in hooi.
     Centring never raises a column's sum of squares and scaling sets it to
     N, so the check on the raw matrix covers the "td" route's matrix too.
+
+    The returned SVD is the scored one, truncated at max(L, 2) rather than
+    at L: its leading two components are the factors that reports plot
+    (:func:`write_factors_json`).  :func:`linalg.svd` truncates one full thin
+    SVD, so the scored components are bitwise those of a rank-L call.
     """
     x = np.asarray(x, dtype=np.float64)
     linalg.squared_norm(x)
@@ -279,7 +295,9 @@ def svd_select(
     if x.ndim != 2:
         raise ValueError("expected a matrix")
     comps = _component_indices(components, min(x.shape))
-    res = linalg.svd(x, rank=int(comps.max()))
+    rank = int(comps.max())
+    full = linalg.svd(x, rank=max(rank, 2))
+    res = linalg.SvdResult(U=full.U[:, :rank], s=full.s[:rank], V=full.V[:, :rank])
     power = res.s**2
     floor = decomp.NOISE_FLOOR * power[0]
     for c in comps:
@@ -300,11 +318,11 @@ def svd_select(
         stat = btud_statistic(means, np.diag(1.0 / beta / power), comps, calibrate=True)
 
     p = chi2_sf(stat, dof=comps.size)
-    return select_features(p, threshold=threshold, statistic=stat, dof=comps.size)
+    return select_features(p, threshold=threshold, statistic=stat, dof=comps.size), full
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
+# Serialization: the selection CSV and the plotted factors of a matrix run
 # ---------------------------------------------------------------------------
 
 def write_selection_csv(result: SelectionResult, path) -> None:
@@ -341,3 +359,39 @@ def read_selection_csv(path) -> SelectionResult:
         dof=1,
         threshold=DEFAULT_THRESHOLD,
     )
+
+
+def write_factors_json(svd: linalg.SvdResult, path) -> None:
+    """The leading left and right singular vectors of `svd`, as rows: {"u": r x N, "v": r x M}.
+
+    r = min(2, rank).  These are what `report` plots for a matrix run, so it
+    neither parses the data again nor repeats the SVD.
+    """
+    r = min(2, svd.rank)
+    write_json({"u": svd.U[:, :r].T.tolist(), "v": svd.V[:, :r].T.tolist()}, path)
+
+
+def read_factors_json(path) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of :func:`write_factors_json`, each with two rows; row 2 is zero at rank 1.
+
+    Raises FileFormatError unless the file is UTF-8 JSON with the keys "u"
+    and "v" only, each a matrix of finite numbers with one or two rows, the
+    same number for both, and at least one column.
+    """
+    try:
+        doc = _read_utf8(path, json.load)
+        if not isinstance(doc, dict) or set(doc) != {"u", "v"}:
+            raise ValueError('expected an object whose keys are "u" and "v"')
+        u, v = (np.array(doc[key]) for key in ("u", "v"))  # ragged lists raise ValueError
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"malformed factors file {path}: {exc}") from exc
+    for a in (u, v):
+        if a.dtype.kind not in "if" or a.ndim != 2 or not 1 <= a.shape[0] <= 2 or a.shape[1] < 1:
+            raise FileFormatError(f"malformed factors file {path}: "
+                                  "u and v must be numeric matrices of 1 or 2 rows")
+    if u.shape[0] != v.shape[0]:
+        raise FileFormatError(f"malformed factors file {path}: u and v differ in rank")
+    u, v = (np.pad(a.astype(np.float64), ((0, 2 - a.shape[0]), (0, 0))) for a in (u, v))
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise FileFormatError(f"malformed factors file {path}: non-finite entries")
+    return u, v

@@ -4,14 +4,18 @@ Each reference_* function and design_matrix computes the textbook formula
 directly: full-tensor einsum contractions, the explicit (M*K, L) regression
 design, the SVD pseudoinverse with its own cutoff (:func:`pseudoinverse`).
 reference_text_file is the per-value text writer that btucker.tensor's block
-writer must match byte for byte.
+writer must match byte for byte; reference_coupling_matrix draws the coupled
+maps' coupling rows one new generator at a time; reference_matrix_report plots
+a matrix run from the SVD of its re-read data.
 """
+
+from pathlib import Path
 
 import numpy as np
 
-from btucker import linalg
+from btucker import datagen, linalg, select
 from btucker.decomp import ORTHONORMALITY_TOL, TuckerModel, estimate_beta
-from btucker.tensor import reconstruct, unfold
+from btucker.tensor import read_matrix, reconstruct, unfold
 
 # Relative singular-value cutoff for the pseudoinverse; values below
 # PINV_RTOL_FACTOR * max(rows, cols) * s_max are treated as zero.
@@ -183,3 +187,39 @@ def reference_text_file(header: str, flat) -> bytes:
     for start in range(0, len(flat), 8):
         lines.append(" ".join(map("{:.17g}".format, flat[start : start + 8])))
     return ("\n".join(lines) + "\n").encode()
+
+
+def reference_coupling_matrix(n: int, seed: int) -> np.ndarray:
+    """The coupled maps' (n, n) coupling entries, row by row, each from a new keyed Philox."""
+    keys = ([seed, (datagen._PURPOSE_GCM_COUPLING_ROW << 32) | i] for i in range(n))
+    return np.array([np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+                     .random(n) for key in keys])
+
+
+def reference_matrix_report(run_dir, mode: str) -> dict[str, bytes]:
+    """The plotted-factor CSVs of a matrix run's report, from its data.txt: {name: bytes}.
+
+    The factors are the leading two singular vectors of the matrix the `mode`
+    route scored (u2 = 0 at rank 1), from the data read back and factored
+    again; the CSVs are written cell by cell ('{:.17g}' floats, CRLF lines).
+    """
+    run_dir = Path(run_dir)
+    svd = linalg.svd(select.scored_matrix(read_matrix(run_dir / "data.txt"), mode), rank=2)
+    u, v = (np.pad(a, ((0, 0), (0, 2 - svd.rank))) for a in (svd.U, svd.V))
+    selected = select.read_selection_csv(run_dir / "selection.csv").selected.astype(int)
+    truth_path = run_dir / "truth.csv"
+    truth = (datagen.read_truth_csv(truth_path).astype(int) if truth_path.exists()
+             else [""] * selected.size)
+
+    def cell(c) -> str:
+        return "{:.17g}".format(c) if isinstance(c, float) else str(c)
+
+    def text(header, rows) -> bytes:
+        return "".join(",".join(map(cell, row)) + "\r\n" for row in [header, *rows]).encode()
+
+    n, m = u.shape[0], v.shape[0]
+    return {
+        "u1u2_scatter.csv": text(["feature_index", "u1i", "u2i", "truth", "selected"],
+                                 zip(range(1, n + 1), u[:, 0], u[:, 1], truth, selected)),
+        "uj_series.csv": text(["j", "u1j", "u2j"], zip(range(1, m + 1), v[:, 0], v[:, 1])),
+    }

@@ -151,7 +151,7 @@ def gcm_run():
     """The rcs-gcm preset's selection, and each row's correlation with the leading pattern."""
     cfg = build_config("rcs-gcm", overrides={"generator": {"N": GCM_N}})
     _, x, _ = generate_data(cfg, GCM_SEED)
-    result = select_from_matrix(x, cfg)  # the preset's route: svd_select(x, [1], mode="td")
+    result, _ = select_from_matrix(x, cfg)  # the preset's route: svd_select(x, [1], mode="td")
     z = select.standardize_columns(x)
     pattern = linalg.svd(z, rank=1).V[:, 0]
     zc = z - z.mean(axis=1, keepdims=True)

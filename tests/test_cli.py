@@ -21,6 +21,7 @@ from btucker.cli import (
     select_from_tensor,
 )
 from btucker.errors import FileFormatError
+from oracles import reference_matrix_report
 
 SMALL_BLOCK = {
     "generator": {"N": 80, "M": 8, "K": 8, "N1": 6, "mu": 2.0},
@@ -601,6 +602,125 @@ class TestReport:
         assert code == 2
 
 
+def matrix_run(tmp_path, experiment, generator, seed, *flags):
+    """generate and select a matrix member in tmp_path / "run"; returns the run directory."""
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": generator, "seed": seed}))
+    for command in (["generate"], ["select", "--data", str(out / "data.txt"), *flags]):
+        assert main([command[0], "--experiment", experiment, "--config", str(cfg),
+                     "--out-dir", str(out), *command[1:]]) == 0
+    return out
+
+
+@pytest.fixture
+def gcm_run(tmp_path):
+    return matrix_run(tmp_path, "rcs-gcm", {"N": 150, "steps": 30}, 7)
+
+
+class TestReportFromFactors:
+    """Matrix reports plot the factors that select kept in factors.json."""
+
+    @pytest.mark.parametrize("case", ["btud-sinusoid", "td-gcm", "rank-1"])
+    def test_csvs_equal_the_refactored_data(self, tmp_path, case):
+        if case == "btud-sinusoid":
+            out = matrix_run(tmp_path, "sinusoid", {"N": 500, "M": 50, "N1": 50}, 2)
+            assert select.read_selection_csv(out / "selection.csv").selected.sum() == 50
+        elif case == "td-gcm":
+            out = matrix_run(tmp_path, "rcs-gcm", {"N": 150, "steps": 30}, 7)
+        else:  # one column: the SVD has rank 1, and u2 and v2 are plotted as 0
+            out = tmp_path / "run"
+            out.mkdir()
+            x = np.random.default_rng(75).normal(size=(40, 1))
+            x[:3] += 20.0
+            tensor.write_matrix(x, out / "data.txt")
+            assert main(["select", "--data", str(out / "data.txt"), "--out-dir", str(out)]) == 0
+            assert len(json.loads((out / "factors.json").read_text())["u"]) == 1
+        mode = "btud" if case != "td-gcm" else "td"
+        experiment = {"btud-sinusoid": "sinusoid", "td-gcm": "rcs-gcm", "rank-1": "custom"}[case]
+        assert main(["report", "--experiment", experiment, "--out-dir", str(out)]) == 0
+        for name, want in reference_matrix_report(out, mode).items():
+            assert (out / name).read_bytes() == want, name
+
+    def test_factors_json_holds_two_rows_of_u_and_v(self, gcm_run):
+        doc = json.loads((gcm_run / "factors.json").read_text())
+        assert set(doc) == {"u", "v"}
+        assert np.array(doc["u"]).shape == (2, 150) and np.array(doc["v"]).shape == (2, 30)
+
+    def test_neither_parses_the_data_nor_factors_it(self, gcm_run, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("report must not need this")
+
+        monkeypatch.setattr(tensor, "read_matrix", boom)
+        monkeypatch.setattr(linalg, "svd", boom)
+        assert main(["report", "--experiment", "rcs-gcm", "--out-dir", str(gcm_run)]) == 0
+        assert (gcm_run / "uj_series.csv").read_text().count("\n") == 31
+
+    @pytest.mark.parametrize("defect", ["missing", "not-json", "ragged", "nan", "huge",
+                                        "extra-key", "string", "rank-3", "ranks-differ"])
+    def test_missing_or_malformed_factors_exit_2(self, gcm_run, capsys, defect):
+        path = gcm_run / "factors.json"
+        doc = json.loads(path.read_text())
+        if defect == "missing":
+            path.unlink()
+        elif defect == "not-json":
+            path.write_text("{")
+        else:
+            if defect == "ragged":
+                doc["u"][1] = doc["u"][1][:-1]
+            elif defect in ("nan", "huge"):
+                doc["v"][0][3] = float("nan") if defect == "nan" else "1e999"
+            elif defect == "extra-key":
+                doc["s"] = [1.0, 0.5]
+            elif defect == "string":
+                doc["u"][0][0] = "0.5"
+            elif defect == "rank-3":
+                doc["u"].append(doc["u"][0])
+                doc["v"].append(doc["v"][0])
+            else:
+                doc["v"] = doc["v"][:1]
+            text = json.dumps(doc).replace('"1e999"', "1e999")
+            path.write_text(text)
+        code = main(["report", "--experiment", "rcs-gcm", "--out-dir", str(gcm_run)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "factors.json" in err
+
+    @pytest.mark.parametrize("short", ["truth", "selection"])
+    def test_matrix_length_mismatch_exit_1(self, tmp_path, capsys, short):
+        out = matrix_run(tmp_path, "sinusoid", {"N": 200, "M": 18, "N1": 40}, 6)
+        path = out / f"{short}.csv"
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-5]))
+        code = main(["report", "--experiment", "sinusoid", "--out-dir", str(out)])
+        assert code == 1
+        want = "195 != truth length 200" if short == "selection" else "200 != truth length 195"
+        assert capsys.readouterr().err == f"error: selection length {want}\n"
+
+    def test_factors_length_mismatch_exit_1(self, gcm_run, capsys):
+        path = gcm_run / "selection.csv"
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-5]))
+        code = main(["report", "--experiment", "rcs-gcm", "--out-dir", str(gcm_run)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: selection length 145 != factors.json length 150\n"
+
+    @pytest.mark.parametrize("short", ["truth", "selection"])
+    def test_tensor_length_mismatch_exit_1(self, tmp_path, small_config, capsys, short):
+        out = tmp_path / "run"
+        common = ["--experiment", "synthetic-block", "--config", str(small_config),
+                  "--out-dir", str(out)]
+        data = ["--data", str(out / "data.txt")]
+        for command in (["generate"], ["decompose", *data],
+                        ["select", *data, "--model", str(out / "model.json")]):
+            assert main([command[0], *common, *command[1:]]) == 0
+        path = out / f"{short}.csv"
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-5]))
+        assert main(["report", *common]) == 1
+        want = "75 != truth length 80" if short == "selection" else "80 != truth length 75"
+        assert capsys.readouterr().err == f"error: selection length {want}\n"
+
+
 class TestExitCodes:
     def test_degeneracy_maps_to_exit_3(self, tmp_path, monkeypatch):
         from btucker import cli
@@ -736,7 +856,7 @@ class TestArtifactContract:
         jsons = sorted(runs.rglob("*.json"))
         assert sorted(p.name for p in jsons) == sorted(
             ["model.json", "report.json", "confusion.json", "confusion.json",
-             "ensemble_summary.json"])
+             "factors.json", "ensemble_summary.json"])
         for path in jsons:
             json.loads(path.read_text(), parse_constant=reject)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from btucker.datagen import (
     _PURPOSE_GCM_COUPLING_ROW,
     _PURPOSE_GCM_INITIAL,
     _PURPOSE_SIN_ROW,
+    _coupling_matrix,
     _substream,
     gen_sinusoid,
     gen_synthetic_block,
@@ -21,6 +23,7 @@ from btucker.datagen import (
     write_truth_csv,
 )
 from btucker.errors import DivergenceError
+from oracles import reference_coupling_matrix
 
 
 class TestSyntheticBlock:
@@ -134,6 +137,18 @@ class TestRcsGcm:
         p = GcmParams(N=8, steps=25, a=1.75, c=0.1, seed=18)
         with pytest.raises(DivergenceError):
             simulate_rcs_gcm(p)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_threaded_fill_equals_the_serial_rows(self, threads):
+        # 301 rows do not split evenly over 2, 3 or 4 threads; a short switch interval
+        # interleaves the threads' re-keying as often as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            eps = _coupling_matrix(301, 19, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(eps, reference_coupling_matrix(301, 19))
 
     def test_coupling_rows_regenerable(self):
         # per-row substreams: the same row key always yields the same entries
