@@ -27,7 +27,21 @@ Phi)^+ with mean beta*S*Phi^T x.  The least-squares core is the data
 contracted with u_m, or pinv(u_m)^T = (u_m u_m^T)^+ u_m, in every mode; no
 (L1*L2*L3)-sided matrix is formed.  :func:`hooi` runs the same
 kernel on G = R^T R, the Gram matrix of its QR-compressed mode-1 unfolding,
-whenever G is no larger than R (N >= M*K).
+whenever G is no larger than R (N >= M*K).  The kernel, :func:`_contracted`,
+reads the C-ordered (N, M, K) data in place and copies nothing of its size:
+mode 1 contracts K, then M; mode 2 contracts K, as x.reshape(N*M, K) U3^T,
+then N; mode 3 contracts N, as U1 x.reshape(N, M*K), then M.
+
+No residual is formed to measure it.  For any factors (Kolda & Bader, SIAM
+Rev. 51, 2009, section 4.2),
+
+    ||x - [[C; U1, U2, U3]]||^2 = ||x||^2 - 2 <C, P> + <C, C x1 U1 U1^T x2 U2 U2^T x3 U3 U3^T>,
+
+with P the data contracted with all three factors, so :func:`estimate_beta`
+and :func:`btud_fit` take ||x||^2 once and then only core-sized arrays.  The
+sum's rounding is a few eps ||x||^2: where it is non-finite, or at or below
+RESIDUAL_CANCELLATION (1e-2) times ||x||^2, the model is reconstructed and
+subtracted instead, so beta agrees with the explicit residual's to 1e-12.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from .tensor import (UNFOLD_AXES, Tensor3, _folding, _read_utf8, _unfolding, fro
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
 NOISE_FLOOR = 1e-10        # squared singular values below this times the largest are noise
+RESIDUAL_CANCELLATION = 1e-2  # a residual of at most this share of ||x||^2 is formed explicitly
 
 DEFAULT_MAX_ITER = 20000
 DEFAULT_TOL = 1e-8
@@ -172,31 +187,30 @@ def _validate_ranks(dims, ranks) -> tuple[int, int, int]:
     return ranks
 
 
-class _ContractionKernel:
-    """The one contraction of the data that every solver and posterior here uses.
+def _contracted(x: np.ndarray, u1, u2, u3, mode: int) -> np.ndarray:
+    """Y(m): the C-ordered (N, M, K) array x contracted with the factors of the two other modes.
 
-    contracted(u1, u2, u3, m) is Y(m): the (N, M, K) array contracted with
-    the factors of its axes q, then p (u_m is ignored), as two matrix
-    products on a contiguous permuted copy made on first use of the mode
-    (the first one wide, u_q times the transposed copy, which BLAS runs
-    faster than the same product taken tall), with (mode, p, q) from
-    :data:`~btucker.tensor.UNFOLD_AXES`.  Columns run over (q, p), p fastest,
-    as in :func:`~btucker.tensor.unfold` and the core's G(m).
+    u_m is ignored; u1 or u2 may be None, which stands for the identity and
+    skips its product.  Columns run over (q, p), p fastest, with (mode, p, q)
+    from :data:`~btucker.tensor.UNFOLD_AXES`, as in
+    :func:`~btucker.tensor.unfold` and the core's G(m).  Each mode is two
+    matrix products on x's own layout, the first of which reads all of x:
+    mode 1 takes K, as U3 x.reshape(N*M, K)^T, then M; mode 2 takes K, as
+    x.reshape(N*M, K) U3^T, then N; mode 3 takes N, as U1 x.reshape(N, M*K),
+    then M.  Only arrays with a rank on one axis are copied, never x.
     """
-
-    def __init__(self, v: np.ndarray):
-        self.values = v
-        self._copies: dict[int, np.ndarray] = {}
-
-    def contracted(self, u1, u2, u3, mode: int) -> np.ndarray:
-        _, p, q = axes = UNFOLD_AXES[mode]
-        x = self._copies.get(mode)
-        if x is None:
-            x = self._copies[mode] = np.ascontiguousarray(self.values.transpose(axes))
-        factors = (u1, u2, u3)
-        d, dp, dq = x.shape
-        y = (factors[q] @ x.reshape(d * dp, dq).T).reshape(-1, dp) @ factors[p].T
-        return y.reshape(-1, d, y.shape[1]).transpose(1, 0, 2).reshape(d, -1)
+    n, m, k = x.shape
+    if mode == 1:
+        y = (u3 @ x.reshape(n * m, k).T).reshape(-1, m)  # rows (c, i), columns j
+        y = y if u2 is None else y @ u2.T
+        return y.reshape(-1, n, y.shape[1]).transpose(1, 0, 2).reshape(n, -1)
+    if mode == 2:
+        y = (x.reshape(n * m, k) @ u3.T).reshape(n, -1)  # rows i, columns (j, c)
+        y = y if u1 is None else u1 @ y
+        return y.reshape(y.shape[0], m, -1).transpose(1, 2, 0).reshape(m, -1)
+    y = (x if u1 is None else u1 @ x.reshape(n, m * k)).reshape(-1, m, k)  # (a, j, k)
+    y = y if u2 is None else u2 @ y
+    return y.transpose(2, 1, 0).reshape(k, -1)
 
 
 def _kron_root(factors, mode: int) -> np.ndarray:
@@ -263,20 +277,20 @@ class _CoreNorm:
     dS = dA^T A + A^T dA, so dH = W (dA W + A W_ X)^T R(1) + W_ X (A W)^T R(1),
     and the Hessian is P(De[xi]) - (e U^T) xi on the Grassmann quotient
     (Absil, Mahony & Sepulchre 2008).  Every contraction with R runs once
-    per point, through the kernel: R x3 U3 on `work` and R x2 U2 on `swapped`
-    (R with modes 2 and 3 swapped), each with the identity in the other
-    mode, and T = (A W)^T R(1); a Hessian product then only contracts these
-    with small matrices.  Tangents are (xi2, xi3) raveled into one vector.
-    `degenerate` is True when lambda_L1 - lambda_L1+1 <= NOISE_FLOOR *
-    lambda_1, where X is undefined.
+    per point, through :func:`_contracted`: R x3 U3 on `work` (R) and R x2 U2
+    on `swapped` (a C-ordered copy of R with modes 2 and 3 swapped), each
+    with the identity in the other mode, and T = (A W)^T R(1); a Hessian
+    product then only contracts these with small matrices.  Tangents are
+    (xi2, xi3) raveled into one vector.  `degenerate` is True when
+    lambda_L1 - lambda_L1+1 <= NOISE_FLOOR * lambda_1, where X is undefined.
     """
 
-    def __init__(self, work: _ContractionKernel, swapped: _ContractionKernel, u2, u3, l1: int):
+    def __init__(self, work: np.ndarray, swapped: np.ndarray, u2, u3, l1: int):
         (l2, m), (l3, k) = u2.shape, u3.shape
         self.work, self.u2, self.u3 = work, u2, u3
         # (N', L3 * M) and (N', L2 * K), columns (c, j) and (b, k)
-        self.ru3 = work.contracted(None, np.eye(m), u3, mode=1)
-        self.ru2 = swapped.contracted(None, np.eye(k), u2, mode=1)
+        self.ru3 = _contracted(work, None, None, u3, mode=1)
+        self.ru2 = _contracted(swapped, None, None, u2, mode=1)
         self.a = (self.ru3.reshape(-1, m) @ u2.T).reshape(-1, l3 * l2)
         lam, vecs = np.linalg.eigh(self.a.T @ self.a)
         below = lam[-l1 - 1] if l1 < lam.size else 0.0
@@ -290,7 +304,7 @@ class _CoreNorm:
     @functools.cached_property
     def _t(self) -> tuple[np.ndarray, np.ndarray]:
         """T = (A W)^T R(1) as (L1 * M, K) and, transposed, as (M, L1 * K)."""
-        r = self.work.values
+        r = self.work
         t = (self.aw.T @ r.reshape(r.shape[0], -1)).reshape(-1, *r.shape[1:])
         return t.reshape(-1, r.shape[2]), t.transpose(1, 0, 2).reshape(r.shape[1], -1)
 
@@ -452,14 +466,13 @@ def hooi(
     r = np.linalg.qr(t.values.reshape(n, m * k), mode="r")
     compressed = r.reshape(-1, m, k)
     model = hosvd_init(Tensor3(compressed), ranks)
-    data = _ContractionKernel(t.values)
     # G = R^T R, no larger than R once R is square; rows (j, k) as R's columns.  Formed
     # after the start, so that the start's temporaries and G are not held at once
-    gram = _ContractionKernel((r.T @ r).reshape(-1, m, k)) if n >= m * k else None
+    gram = (r.T @ r).reshape(-1, m, k) if n >= m * k else None
 
     def lift(w2, w3) -> np.ndarray:
         """U1 from the data: the top-l1 left singular vectors of X(1) W, W from w2 and w3."""
-        return _top_left_vectors(data.contracted(None, w2, w3, mode=1), l1)
+        return _top_left_vectors(_contracted(t.values, None, w2, w3, mode=1), l1)
 
     def factor_change(moved: float, w, previous_w) -> float:
         """moved, the U2/U3 change, or once that passes factor_tol the U1 lift's change too."""
@@ -481,28 +494,29 @@ def hooi(
             raise FloatingPointError("non-finite values during HOOI iteration")
         return err
 
-    work = _ContractionKernel(compressed)
-    swapped = _ContractionKernel(compressed.transpose(0, 2, 1))
-    eye = np.eye(l1)  # Z already carries the mode-1 factor
+    @functools.cache
+    def swapped() -> np.ndarray:
+        """R with modes 2 and 3 swapped, C-ordered; copied once, when the trust region starts."""
+        return np.ascontiguousarray(compressed.transpose(0, 2, 1))
 
     def sweep(in2, in3):
         """One plain sweep from (in2, in3): the new U2 and U3 and the new model's residual."""
         top = None
         if gram is not None:
             # P = (U2 kron U3) G, so A^T A = P (U2 kron U3)^T for A = R(1) (U2 kron U3)^T
-            p = gram.contracted(None, in2, in3, mode=1).T
-            top = _top_eigenpairs(_ContractionKernel(p.reshape(-1, m, k)).contracted(
-                None, in2, in3, mode=1), l1)
+            p = _contracted(gram, None, in2, in3, mode=1).T
+            top = _top_eigenpairs(_contracted(p.reshape(-1, m, k), None, in2, in3, mode=1), l1)
         if top is None:
-            s1 = _top_left_vectors(work.contracted(None, in2, in3, mode=1), l1)
+            s1 = _top_left_vectors(_contracted(compressed, None, in2, in3, mode=1), l1)
             z, v1 = s1 @ r, lambda: s1
         else:
             # V1 = Lambda^-1/2 W_A^T A^T, so Z = V1 R(1) = Lambda^-1/2 W_A^T P without V1
             coef = top[1] / np.sqrt(top[0])
-            z, v1 = coef.T @ p, lambda: (work.contracted(None, in2, in3, mode=1) @ coef).T
-        z = _ContractionKernel(z.reshape(l1, m, k))
-        s2 = _top_left_vectors(z.contracted(eye, in2, in3, mode=2), l2)
-        contracted3 = z.contracted(eye, s2, in3, mode=3)
+            z, v1 = coef.T @ p, lambda: (_contracted(compressed, None, in2, in3, mode=1) @ coef).T
+        # Z already carries the mode-1 factor: None skips it
+        z = z.reshape(l1, m, k)
+        s2 = _top_left_vectors(_contracted(z, None, in2, in3, mode=2), l2)
+        contracted3 = _contracted(z, None, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
         core = (s3 @ contracted3).reshape(l3, l2, l1)
         return s2, s3, residual(float(np.vdot(core, core)), lambda: np.einsum(
@@ -522,7 +536,7 @@ def hooi(
             noise = 1e3 * np.finfo(float).eps * abs(point.f)  # rounding level of f and its gradient
             step, predicted = _truncated_cg(point, radius, noise)
             step2, step3 = point.split(step)
-            trial = _CoreNorm(work, swapped, _retract(u2, step2), _retract(u3, step3), l1)
+            trial = _CoreNorm(compressed, swapped(), _retract(u2, step2), _retract(u3, step3), l1)
             rho = (trial.f - point.f + noise) / (predicted + noise)
             if rho < 0.25:
                 radius /= 4
@@ -551,7 +565,7 @@ def hooi(
             if moved < factor_tol:
                 stop_reason = "factor_tol"
                 break
-            point = _CoreNorm(work, swapped, u2, u3, l1)
+            point = _CoreNorm(compressed, swapped(), u2, u3, l1)
             if point.degenerate:
                 point = None
 
@@ -561,7 +575,7 @@ def hooi(
         sweeps += 1
         history.append(err)
     u1 = lift(*w)
-    core = _folding(u1 @ data.contracted(u1, u2, u3, mode=1), 1, ranks)
+    core = _folding(u1 @ _contracted(t.values, u1, u2, u3, mode=1), 1, ranks)
     model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)
     report = FitReport(
         sweeps=sweeps,
@@ -575,10 +589,10 @@ def hooi(
     return model, report
 
 
-def _least_squares_core(work: _ContractionKernel, u1, u2, u3) -> np.ndarray:
+def _least_squares_core(x: np.ndarray, u1, u2, u3) -> np.ndarray:
     """The data contracted with each factor's core-solve map, folded to the core's shape."""
     p = [_core_factor(u) for u in (u1, u2, u3)]
-    return _folding(p[2] @ work.contracted(*p, 3), 3, [u.shape[0] for u in p])
+    return _folding(p[2] @ _contracted(x, *p, 3), 3, [u.shape[0] for u in p])
 
 
 def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
@@ -590,7 +604,12 @@ def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) 
     row-orthonormal factors give the projected core
     G[a,b,c] = sum_{ijk} u1[a,i] u2[b,j] u3[c,k] x[i,j,k].
     """
-    return _least_squares_core(_ContractionKernel(t.values), u1, u2, u3)
+    return _least_squares_core(t.values, u1, u2, u3)
+
+
+def _check_dims(t: Tensor3, model: TuckerModel) -> None:
+    if model.dims != t.dims:
+        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
 
 
 def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: float) -> None:
@@ -598,11 +617,10 @@ def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: fl
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     if not 0 <= alpha <= sys.float_info.max:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if model.dims != t.dims:
-        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
+    _check_dims(t, model)
 
 
-def _mode_posterior(work: _ContractionKernel, model: TuckerModel, mode: int,
+def _mode_posterior(x: np.ndarray, model: TuckerModel, mode: int,
                     alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Mean (gram + alpha/beta I)^+ G(m) Y(m)^T and covariance (alpha I + beta gram)^+.
 
@@ -611,7 +629,7 @@ def _mode_posterior(work: _ContractionKernel, model: TuckerModel, mode: int,
     factors = (model.u1, model.u2, model.u3)
     g = _unfolding(model.core, mode)
     inv = linalg.gram_inverse(g @ _kron_root(factors, mode), alpha / beta)
-    return inv @ (g @ work.contracted(*factors, mode).T), inv / beta
+    return inv @ (g @ _contracted(x, *factors, mode).T), inv / beta
 
 
 def posterior_stats(
@@ -626,12 +644,43 @@ def posterior_stats(
     if mode not in UNFOLD_AXES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     _check_posterior_args(t, model, alpha, beta)
-    return _mode_posterior(_ContractionKernel(t.values), model, mode, alpha, beta)
+    return _mode_posterior(t.values, model, mode, alpha, beta)
+
+
+def _residual(t: Tensor3, x_sq: float, model: TuckerModel, y3: np.ndarray) -> tuple[float, float]:
+    """||x - model|| and the noise precision of that residual (:func:`linalg.noise_precision`).
+
+    x_sq is ||x||^2 (:func:`linalg._sum_of_squares`) and y3 the data's mode-3
+    contraction with the model's u1 and u2 (:func:`_contracted`).  For any
+    factors, ||x - [[C; U1, U2, U3]]||^2 = ||x||^2 - 2 <C, P> + <C, C x_m U_m U_m^T>
+    with P = U3 Y(3), the data contracted with all three factors (Kolda &
+    Bader 2009, section 4.2), so only core-sized arrays are formed.  Its
+    rounding is a few eps ||x||^2, so where that sum is non-finite or at or
+    below RESIDUAL_CANCELLATION ||x||^2 the model is reconstructed and
+    subtracted instead.
+    """
+    core, factors = model.core, (model.u1, model.u2, model.u3)
+    g1, g2, g3 = (u @ u.T for u in factors)
+    with np.errstate(over="ignore"):  # a non-finite sum takes the explicit residual
+        # C x1 G1 x2 G2 x3 G3: G1 on the rows, G2 on each (L2, L3) slice, G3 on the columns
+        spread = (g2 @ (g1 @ core.reshape(core.shape[0], -1)).reshape(core.shape)) @ g3.T
+        r2 = (x_sq - 2 * float(np.vdot(_unfolding(core, 3), factors[2] @ y3))
+              + float(np.vdot(core, spread)))
+    if not (np.isfinite(r2) and r2 > RESIDUAL_CANCELLATION * x_sq):
+        resid = t.values - reconstruct(model).values
+        r2 = float(np.sum(resid * resid))
+    return float(np.sqrt(r2)), linalg._capped_precision(r2, t.values.size)
 
 
 def estimate_beta(t: Tensor3, model: TuckerModel) -> float:
-    """The noise precision of the model's residual (see :func:`linalg.noise_precision`)."""
-    return linalg.noise_precision(t.values - reconstruct(model).values)
+    """The noise precision of the model's residual (see :func:`linalg.noise_precision`).
+
+    The residual is formed only where its squared norm is at most
+    RESIDUAL_CANCELLATION times ||x||^2 (see :func:`_residual`).
+    """
+    _check_dims(t, model)
+    y3 = _contracted(t.values, model.u1, model.u2, None, 3)
+    return _residual(t, linalg._sum_of_squares(t.values), model, y3)[1]
 
 
 def btud_fit(
@@ -663,23 +712,23 @@ def btud_fit(
 
     factors = [init.u1.copy(), init.u2.copy(), init.u3.copy()]
     core = init.core.copy()
-    work = _ContractionKernel(t.values)
+    x = t.values
+    x_sq = linalg._sum_of_squares(x)
 
     def current_model() -> TuckerModel:
         return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
 
-    def residual() -> tuple[float, float]:  # norm and noise precision from one reconstruction
-        resid = t.values - reconstruct(current_model()).values
-        return float(np.linalg.norm(resid.ravel())), linalg.noise_precision(resid)
+    def residual(y3) -> tuple[float, float]:  # norm and noise precision; y3 from u1 and u2
+        return _residual(t, x_sq, current_model(), y3)
 
-    norm, beta = residual()
+    norm, beta = residual(_contracted(x, *factors, 3))
     history = [norm]
     for sweeps in range(1, max_sweeps + 1):
         before = [u.copy() for u in factors]
         for mode in (1, 2, 3):
-            y = work.contracted(*factors, mode)
+            y = _contracted(x, *factors, mode)
             p = [_core_factor(u) for u in factors]  # the core solve's maps, as in core_regression
-            y_core = y if all(a is b for a, b in zip(p, factors)) else work.contracted(*p, mode)
+            y_core = y if all(a is b for a, b in zip(p, factors)) else _contracted(x, *p, mode)
             root = _kron_root(factors, mode)
             u = factors[mode - 1]
             for comp in range(u.shape[0]):
@@ -692,7 +741,8 @@ def btud_fit(
                     raise DegenerateComponentError(mode, comp) from exc
                 u = factors[mode - 1]
                 core = _folding(_core_factor(u) @ y_core, mode, core.shape)
-        norm, beta = residual()
+        # mode 3's Y: it holds the final u1 and u2, and u3 does not enter it
+        norm, beta = residual(y)
         history.append(norm)
         moved = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
         converged = moved < tol
@@ -726,14 +776,13 @@ def self_consistency_check(
     The model is accepted when every deviation is at most `tol`.
     """
     _check_posterior_args(t, model, alpha, beta)
-    work = _ContractionKernel(t.values)
     deviations = []
     for mode in (1, 2, 3):
         u = model.factor(mode)
-        m = _mode_posterior(work, model, mode, alpha, beta)[0]
+        m = _mode_posterior(t.values, model, mode, alpha, beta)[0]
         m *= np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)[:, None]
         deviations.append(float(np.max(np.abs(u - m))))
-    core = _least_squares_core(work, model.u1, model.u2, model.u3)
+    core = _least_squares_core(t.values, model.u1, model.u2, model.u3)
     core_dev = float(np.max(np.abs(model.core - core)))
     return ConsistencyCheck(self_consistent=bool(max(*deviations, core_dev) <= tol),
                             mode_deviations=np.array(deviations), core_deviation=core_dev, tol=tol)

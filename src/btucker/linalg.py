@@ -96,14 +96,23 @@ def orthonormalize_rows(u: np.ndarray, start_row: int) -> np.ndarray:
 
 def squared_norm(a: np.ndarray) -> float:
     """||a||^2 without a squared copy of `a`; FloatingPointError if it overflows float64."""
-    with np.errstate(over="ignore"):
-        ssq = float(np.vdot(a, a))
+    ssq = _sum_of_squares(a)
     if not np.isfinite(ssq):
         raise FloatingPointError("the squared norm of the data overflows float64")
     return ssq
 
 
+def _sum_of_squares(a: np.ndarray) -> float:
+    """||a||^2 without a squared copy of `a`; inf where it overflows float64."""
+    with np.errstate(over="ignore"):
+        return float(np.vdot(a, a))
+
+
 def noise_precision(resid: np.ndarray) -> float:
     """One over the mean squared residual, capped at BETA_CAP for near-exact fits."""
-    ssq = float(np.sum(resid * resid))
-    return min(resid.size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP
+    return _capped_precision(float(np.sum(resid * resid)), resid.size)
+
+
+def _capped_precision(ssq: float, size: int) -> float:
+    """size / ssq, the precision of a residual of `size` entries and squared norm ssq, capped."""
+    return min(size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP

@@ -2,7 +2,8 @@
 
 Each reference_* function and design_matrix computes the textbook formula
 directly: full-tensor einsum contractions, the explicit (M*K, L) regression
-design, the SVD pseudoinverse with its own cutoff (:func:`pseudoinverse`).
+design, the SVD pseudoinverse with its own cutoff (:func:`pseudoinverse`) and
+the residual of the reconstructed model (:func:`reference_residual`).
 reference_text_file is the per-value text writer that btucker.tensor's block
 writer must match byte for byte; reference_coupling_matrix draws the coupled
 maps' coupling rows one new generator at a time; reference_matrix_report plots
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from btucker import datagen, linalg, select
-from btucker.decomp import ORTHONORMALITY_TOL, TuckerModel, estimate_beta
+from btucker.decomp import ORTHONORMALITY_TOL, TuckerModel
 from btucker.tensor import read_matrix, reconstruct, unfold
 
 # Relative singular-value cutoff for the pseudoinverse; values below
@@ -101,6 +102,12 @@ def reference_core_norm(t, u2, u3, l1):
     return float(np.sum(core * core))
 
 
+def reference_residual(t, model):
+    """||t - model|| and its noise precision, from the explicitly reconstructed residual."""
+    resid = t.values - reconstruct(model).values
+    return float(np.linalg.norm(resid.ravel())), linalg.noise_precision(resid)
+
+
 def reference_core_regression(t, u1, u2, u3):
     """The least-squares core by full-tensor einsum: projected if every factor is orthonormal."""
     defect = max(float(np.max(np.abs(u @ u.T - np.eye(u.shape[0])))) for u in (u1, u2, u3))
@@ -124,13 +131,10 @@ def reference_btud_fit(t, init, alpha, max_sweeps, tol):
     def current_model():
         return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
 
-    def residual():
-        return float(np.linalg.norm((t.values - reconstruct(current_model()).values).ravel()))
-
-    history = [residual()]
+    norm, beta = reference_residual(t, current_model())
+    history = [norm]
     converged = False
     sweeps = 0
-    beta = estimate_beta(t, current_model())
     for _ in range(max_sweeps):
         before = [u.copy() for u in factors]
         for mode in (1, 2, 3):
@@ -148,8 +152,8 @@ def reference_btud_fit(t, init, alpha, max_sweeps, tol):
                 u = factors[mode - 1]
                 core = reference_core_regression(t, *factors)
         sweeps += 1
-        beta = estimate_beta(t, current_model())
-        history.append(residual())
+        norm, beta = reference_residual(t, current_model())
+        history.append(norm)
         delta = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
         if delta < tol:
             converged = True

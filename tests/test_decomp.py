@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,11 @@ from btucker.decomp import (
     BETA_CAP,
     DEFAULT_FACTOR_TOL,
     DEFAULT_TOL,
+    RESIDUAL_CANCELLATION,
     SELF_CONSISTENCY_TOL,
     FitReport,
     TuckerModel,
-    _ContractionKernel,
+    _contracted,
     _CoreNorm,
     _top_left_vectors,
     btud_fit,
@@ -38,6 +41,7 @@ from oracles import (
     reference_core_norm,
     reference_hooi,
     reference_posterior,
+    reference_residual,
 )
 
 
@@ -247,12 +251,11 @@ class TestHooiRoutes:
         t = random_tensor(dims, seed=seed)
         shapes = []
 
-        class KernelSpy(_ContractionKernel):  # records the shape of every array it runs on
-            def __init__(self, v):
-                super().__init__(v)
-                shapes.append(v.shape)
+        def contracted(x, *args, **kwargs):  # records the shape of every array contracted
+            shapes.append(x.shape)
+            return _contracted(x, *args, **kwargs)
 
-        monkeypatch.setattr(decomp, "_ContractionKernel", KernelSpy)
+        monkeypatch.setattr(decomp, "_contracted", contracted)
         model, report = hooi(t, ranks, max_iter=max_iter)
         expected, history = reference_hooi(t, ranks, max_iter=max_iter, tol=DEFAULT_TOL,
                                            factor_tol=DEFAULT_FACTOR_TOL)
@@ -301,6 +304,29 @@ class TestTopLeftVectors:
         assert np.max(np.abs(got - linalg.svd(b, rank=4).U.T)) < 1e-10
 
 
+class TestContraction:
+    """The one contraction kernel against np.einsum: columns (q, p), p fastest, as in unfold."""
+
+    SUBSCRIPTS = {1: "ijk,bj,ck->icb", 2: "ijk,ai,ck->jca", 3: "ijk,ai,bj->kba"}
+
+    @pytest.mark.parametrize("identity", [(), (0,), (1,), (0, 1)],
+                             ids=["factors", "u1-none", "u2-none", "u1-u2-none"])
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_matches_einsum(self, mode, identity):
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(7, 5, 4))
+        # general factors: neither square nor orthonormal
+        factors = [rng.normal(size=(r, d)) for r, d in zip((3, 2, 3), x.shape)]
+        want_factors = [np.eye(d) if i in identity else u
+                        for i, (u, d) in enumerate(zip(factors, x.shape))]
+        want = np.einsum(self.SUBSCRIPTS[mode], x,
+                         *(u for i, u in enumerate(want_factors) if i != mode - 1))
+        want = want.reshape(x.shape[mode - 1], -1)
+        got = _contracted(x, *(None if i in identity else u for i, u in enumerate(factors)), mode)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.fixture(scope="module", params=[1000, 1001])
 def preset_fits(request):
     """A synthetic-block member fitted by hooi and by the reference, both with the preset."""
@@ -334,7 +360,7 @@ class TestCoreNorm:
         t = planted_tensor((12, 6, 5), (3, 2, 2), noise=0.3, seed=60)
         start = hosvd_init(t, (3, 2, 2))
         u2, u3 = start.u2, start.u3
-        work, swapped = _ContractionKernel(t.values), _ContractionKernel(t.values.transpose(0, 2, 1))
+        work, swapped = t.values, np.ascontiguousarray(t.values.transpose(0, 2, 1))
 
         def at(v2, v3):
             return _CoreNorm(work, swapped, v2, v3, 3)
@@ -655,6 +681,131 @@ class TestEstimateBeta:
                 for k in range(3):
                     ssq += (t.values[i, j, k] - recon[i, j, k]) ** 2
         assert np.isclose(estimate_beta(t, model), t.values.size / ssq, rtol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(1, 4, 3), (6, 3, 3)], ids=["n-is-1", "m-differs"])
+    def test_dims_must_match(self, dims):
+        # N = 1 used to broadcast against the 6 x 4 x 3 data and return a beta
+        t = random_tensor((6, 4, 3), seed=71)
+        model = random_model(dims, (1, 1, 1), seed=72)
+        message = f"model dims {dims} do not match tensor dims (6, 4, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_beta(t, model)
+
+
+def residual_case(kind, dims, scale):
+    """(data, model) with the data scaled by `scale`; the model is a least-squares fit or not."""
+    ranks = (2, 2, 2)
+    t = Tensor3(scale * random_tensor(dims, seed=73).values)
+    if kind == "least-squares":
+        return t, hosvd_init(t, ranks)
+    model = random_model(dims, ranks, seed=74)  # orthonormal factors, a core unrelated to t
+    factors = (model.u1, model.u2, model.u3)
+    if kind == "non-orthonormal":
+        rng = np.random.default_rng(75)
+        factors = tuple(u + 0.3 * rng.normal(size=u.shape) for u in factors)
+    return t, TuckerModel(scale * model.core, *factors)
+
+
+def orthogonal_noise_case(ratio):
+    """A model plus noise off its factors' rows in every mode, ||noise||^2 = ratio ||x||^2.
+
+    The model is then the data's own least-squares fit, and a btud fixed point.
+    """
+    dims = (12, 5, 4)
+    model = random_model(dims, (2, 2, 2), seed=76)
+    off = [np.eye(u.shape[1]) - u.T @ u for u in (model.u1, model.u2, model.u3)]
+    e = np.einsum("il,jm,kn,lmn->ijk", *off, np.random.default_rng(77).normal(size=dims))
+    e *= np.sqrt(ratio / (1 - ratio) * np.sum(model.core ** 2)) / np.linalg.norm(e)
+    return Tensor3(reconstruct(model).values + e), model
+
+
+def assert_rel(got, want):
+    """got within 1e-12 of want, relative (approx's default abs of 1e-12 would pass a beta of
+    1e-121, as for data scaled by 2^200)."""
+    assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.abs(want))
+
+
+class TestResidualFromCore:
+    """estimate_beta and btud_fit's residuals against the explicitly reconstructed residual."""
+
+    KINDS = ["least-squares", "arbitrary-core", "non-orthonormal"]
+    DIMS = {"tall": (30, 4, 3), "short": (6, 5, 4)}  # N >= M*K and N < M*K
+    SCALES = {"2^-200": 2.0 ** -200, "1": 1.0, "2^200": 2.0 ** 200}
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("shape", DIMS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_estimate_beta(self, kind, shape, scale):
+        t, model = residual_case(kind, self.DIMS[shape], self.SCALES[scale])
+        assert_rel(estimate_beta(t, model), reference_residual(t, model)[1])
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("shape", DIMS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_btud_fit(self, kind, shape, scale):
+        t, init = residual_case(kind, self.DIMS[shape], self.SCALES[scale])
+        for sweeps in (1, 2):
+            model, beta, report = btud_fit(t, init, alpha=0.0, max_sweeps=sweeps, tol=1e-15)
+            assert report.sweeps == sweeps
+            want_norm, want_beta = reference_residual(t, model)
+            assert_rel(report.residual_history[0], reference_residual(t, init)[0])
+            assert_rel(report.residual_history[-1], want_norm)
+            assert_rel(beta, want_beta)
+
+    @pytest.mark.parametrize("side", [1.05, 0.95], ids=["above", "below"])
+    def test_fallback_cut(self, monkeypatch, side):
+        # above the cut the residual comes from the core alone; at or below it the model is
+        # reconstructed and subtracted, once per residual
+        t, model = orthogonal_noise_case(side * RESIDUAL_CANCELLATION)
+        norm, want_beta = reference_residual(t, model)
+        assert bool(norm ** 2 > RESIDUAL_CANCELLATION * np.sum(t.values ** 2)) is (side > 1)
+        calls = []
+        monkeypatch.setattr(decomp, "reconstruct", lambda m: calls.append(m) or reconstruct(m))
+        assert_rel(estimate_beta(t, model), want_beta)
+        fit, beta, report = btud_fit(t, model, alpha=0.0, max_sweeps=1)
+        assert report.converged
+        assert len(calls) == (0 if side > 1 else 3)
+        fit_norm, fit_beta = reference_residual(t, fit)
+        assert_rel(report.residual_history, [norm, fit_norm])
+        assert_rel(beta, fit_beta)
+
+    def test_overflowing_square_takes_the_explicit_residual(self, monkeypatch):
+        # ||x||^2 is inf at entries of 1e160, though the residual's squares are finite
+        model = random_model((6, 5, 4), (2, 2, 2), seed=78)
+        model = TuckerModel(1e160 * model.core, model.u1, model.u2, model.u3)
+        noise = 1e150 * np.random.default_rng(79).normal(size=model.dims)
+        t = Tensor3(reconstruct(model).values + noise)
+        calls = []
+        monkeypatch.setattr(decomp, "reconstruct", lambda m: calls.append(m) or reconstruct(m))
+        assert estimate_beta(t, model) == reference_residual(t, model)[1] > 0
+        assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def preset_member():
+    """Synthetic-block member 1000 fitted by hooi with the preset."""
+    cfg = build_config("synthetic-block")
+    t, _ = datagen.gen_synthetic_block(datagen.SyntheticBlockParams(seed=1000))
+    model, _ = hooi(t, cfg.ranks, max_iter=cfg.max_iter, tol=cfg.tol, factor_tol=cfg.factor_tol)
+    return t, model
+
+
+class TestTemporaries:
+    @pytest.mark.parametrize("call", ["estimate_beta", "btud_fit", "self_consistency_check"])
+    def test_peak_below_half_the_data(self, preset_member, call):
+        # residuals from the core, contractions on the data's own layout: no tensor-sized copy
+        t, model = preset_member
+        beta = estimate_beta(t, model)
+        run = {"estimate_beta": lambda: estimate_beta(t, model),
+               "btud_fit": lambda: btud_fit(t, model, alpha=0.0, max_sweeps=5),
+               "self_consistency_check": lambda: self_consistency_check(t, model, 0.0, beta)}
+        tracemalloc.start()
+        try:
+            run[call]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.values.nbytes / 2
 
 
 class TestBtudFit:
