@@ -1,8 +1,9 @@
 """Tucker solvers and posterior statistics.
 
 Two routes to the same decomposition: :func:`hooi`, higher-order orthogonal
-iteration from :func:`hosvd_init` finished by a Riemannian trust-region Newton
-phase on the exact Hessian of ||core||^2 (the default), and :func:`btud_fit`, which
+iteration from the mode-2 and mode-3 factors of the HOSVD (:func:`hosvd_init`)
+finished by a Riemannian trust-region Newton phase on the exact Hessian of
+||core||^2 (the default), and :func:`btud_fit`, which
 updates each factor row as a (possibly ridge-regularized) least-squares
 coefficient against the design Phi built from the core and the other two
 factors, re-orthonormalizes it and re-solves the core after every component.
@@ -26,8 +27,8 @@ number is the square of Phi's.  The posterior is S = (alpha*I + beta*Phi^T
 Phi)^+ with mean beta*S*Phi^T x.  The least-squares core is the data
 contracted with u_m, or pinv(u_m)^T = (u_m u_m^T)^+ u_m, in every mode; no
 (L1*L2*L3)-sided matrix is formed.  :func:`hooi` runs the same
-kernel on G = R^T R, the Gram matrix of its QR-compressed mode-1 unfolding,
-whenever G is no larger than R (N >= M*K).  The kernel, :func:`_contracted`,
+kernel on G = X(1)^T X(1), the Gram matrix of the mode-1 unfolding, whenever
+G is no larger than the data (N >= M*K).  The kernel, :func:`_contracted`,
 reads the C-ordered (N, M, K) data in place and copies nothing of its size:
 mode 1 contracts K, then M; mode 2 contracts K, as x.reshape(N*M, K) U3^T,
 then N; mode 3 contracts N, as U1 x.reshape(N, M*K), then M.
@@ -115,12 +116,13 @@ class FitReport:
     """Convergence bookkeeping for a solver run.
 
     sweeps counts the sweeps (for :func:`hooi`, the plain ones, not its
-    trust-region steps), and residual_history[0] is the error of
-    the initial model with one entry per sweep after it, so the history never
-    rises.  stop_reason names the criterion that ended the run: "factor_tol"
-    (the largest entrywise factor change fell below its bound, for
-    :func:`hooi` once the relative residual change had fallen below tol) or
-    "max_iter" (the budget ran out, converged is False).  newton_steps
+    trust-region steps), and residual_history[0] is the error of the initial
+    model (for :func:`hooi`, the HOSVD's U2 and U3 with their optimal U1)
+    with one entry per sweep after it, so the history never rises.
+    stop_reason names the criterion that ended the run: "factor_tol" (the
+    largest entrywise factor change fell below its bound, for :func:`hooi`
+    once the relative residual change had fallen below tol) or "max_iter"
+    (the budget ran out, converged is False).  newton_steps
     counts :func:`hooi`'s kept trust-region steps.  final_factor_change is
     the last largest entrywise factor change the solver measured, None if it
     measured none (:func:`hooi` measures it only once the residual criterion
@@ -240,7 +242,7 @@ def _top_eigenpairs(gram: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray
     return None
 
 
-def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
+def _top_left_vectors(b, rank: int, gram: np.ndarray | None = None) -> np.ndarray:
     """Leading left singular vectors of b as rows, with the global sign rule.
 
     Eigendecomposes the smaller Gram matrix, b b^T when b is wide and b^T b
@@ -251,13 +253,19 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
     cutoff) are rounding noise, so they are replaced by the identity's first
     columns orthonormalized against the others: the result then moves
     continuously with b instead of jumping with its last bits.
+
+    A caller that has b b^T already passes it as gram, and b as a function
+    that returns b: b is then formed only if the SVD is needed.
     """
-    wide = b.shape[0] <= b.shape[1]
-    top = _top_eigenpairs(b @ b.T if wide else b.T @ b, rank)
+    wide = gram is not None or b.shape[0] <= b.shape[1]
+    if gram is None:
+        gram = b @ b.T if wide else b.T @ b
+    top = _top_eigenpairs(gram, rank)
     if top is not None:
         vals, vecs = top
         u = vecs.T if wide else (b @ vecs).T / np.sqrt(vals)[:, None]
     else:
+        b = b() if callable(b) else b
         res = linalg.svd(b, rank=rank)
         kept = res.U[:, linalg._above_rank_cutoff(res.s, b.shape)]
         u = np.linalg.qr(np.hstack((kept, np.eye(b.shape[0], rank))))[0][:, :rank].T
@@ -267,7 +275,9 @@ def _top_left_vectors(b: np.ndarray, rank: int) -> np.ndarray:
 class _CoreNorm:
     """f(U2, U3) = ||core||^2 with U1 optimal, its Riemannian gradient and Hessian.
 
-    At row-orthonormal (u2, u3), A = R x2 U2 x3 U3 unfolded along mode 1
+    R is the data or any R with R^T R = X(1)^T X(1): f, its gradient and
+    its Hessian depend on R only through R^T R.  At
+    row-orthonormal (u2, u3), A = R x2 U2 x3 U3 unfolded along mode 1
     (the kernel's Y(1), columns (c, b)), lambda and W the top-l1 eigenpairs
     of A^T A and W_ the rest, so f = sum(lambda) and the optimal U1 is
     V1 = A W Lambda^-1/2.  With H = W (A W)^T R(1), the Euclidean gradient
@@ -408,38 +418,43 @@ def hooi(
     :func:`self_consistency_check` certifies is reached only once the
     factors themselves stop moving.
 
-    Each sweep contracts the data once.  The sweeps run on R from one QR,
-    unfold(t, 1) = Q R, of which only R is formed, so mode 1 has
-    min(N, M*K) rows; the contractions, core and residual are those of t.
-    The start is the HOSVD of R.  Mode 1 contracts R with the mode-2/3
-    factors, A = R(1) W^T with W their Kronecker product in the kernel's
-    column order, and its new factor V1 = Lambda^-1/2 W_A^T A^T, from the
-    top-L1 eigenpairs (Lambda, W_A) of A^T A, gives Z = V1 R(1), an
-    (L1, M, K) tensor from which modes 2 and 3 and the projected core
-    follow.  When N >= M*K, R is square, and G = R^T R, formed once per fit,
-    is no larger: each sweep then takes P = W G through the contraction
-    kernel, A^T A = P W^T and Z = Lambda^-1/2 W_A^T P, so neither V1 nor an
-    (L1, M*K) x (M*K, M*K) product is formed.  V1 itself is formed, from R,
-    only where the residual is recomputed from the model (below), and a
-    mode-1 spectrum below the noise floor of :func:`_top_eigenpairs` takes
-    the top vectors of A from R instead.  When N < M*K, G would be larger
-    than R, and each sweep forms A from R and V1 from A.  Other top vectors
-    come from the smaller Gram matrix.  The residual is
-    sqrt(||x||^2 - ||core||^2) unless that is below 1e-6 ||x||, where
-    cancellation would dominate and the model is subtracted from R
-    instead.  The returned U1 is computed once from the data, as the top
-    left singular vectors of unfold(t, 1) W for the W that V1 came from:
-    that matrix is Q R W, so this is V1 Q^T without Q.  The factor_tol test
-    of U1 takes the same lift, and the returned core is recomputed from the
-    returned factors.  Data whose squared norm overflows raise
-    FloatingPointError before any of this.
+    Each sweep contracts the data at most once.  Mode 1 contracts the data
+    with the mode-2/3 factors, A = X(1) W^T with W their Kronecker product
+    in the kernel's column order, and its new factor V1 = Lambda^-1/2 W_A^T
+    A^T, from the top-L1 eigenpairs (Lambda, W_A) of A^T A, gives
+    Z = V1 X(1), an (L1, M, K) tensor from which modes 2 and 3 and the
+    projected core follow.  When N >= M*K, G = X(1)^T X(1), formed once per
+    fit by one product of the data, is no larger than the data: each sweep
+    then takes P = W G through the contraction kernel, A^T A = P W^T and
+    Z = Lambda^-1/2 W_A^T P, so neither A, V1 nor an (L1, M*K) x (M*K, M*K)
+    product is formed.  V1 itself is formed, from the data, only where the
+    residual is recomputed from the model (below), and a mode-1 spectrum
+    below the noise floor of :func:`_top_eigenpairs` takes the top vectors
+    of A from the data instead.  When N < M*K, G would be larger than the
+    data, and each sweep forms A and Z from the data and V1 from A.  Other
+    top vectors come from the smaller Gram matrix.  The start is the HOSVD's
+    U2 and U3, on the G route from the partial traces of G (the Grams of
+    unfold(t, 2) and unfold(t, 3)), taken from the data's SVD below the
+    noise floor; no U1 or core is formed for it.  residual_history[0] is the
+    error of that start with its optimal U1, so it bounds history[1] from
+    above.  The residual is sqrt(||x||^2 - ||core||^2) unless that is below
+    1e-6 ||x||, where cancellation would dominate and the model is
+    subtracted from the data instead.  The returned U1 is computed once from
+    the data, as the top left singular vectors of unfold(t, 1) W for the W
+    that V1 came from.  The factor_tol test of U1 takes the same lift, and
+    the returned core is recomputed from the returned factors.  Data whose
+    squared norm overflows raise FloatingPointError before any of this.
 
     Where the residual criterion holds but the factors still move, plain
     sweeps would close the rest of the way linearly, at about 0.995 per
     sweep.  Instead a Riemannian trust region (Absil, Baker & Gallivan 2007)
     maximizes ||core||^2 over the Grassmann pair (U2, U3) with U1 optimal,
     on :class:`_CoreNorm`'s exact gradient and Hessian, each step from
-    :func:`_truncated_cg`.  A step is kept when the ratio of actual to
+    :func:`_truncated_cg`.  Every quantity there is bilinear in X(1), so it
+    runs on any R with R^T R = G, formed when the trust region first starts:
+    on the G route the Cholesky factor of G, or the R of a QR of X(1) where
+    G is not numerically positive definite, and X(1) itself when N < M*K.
+    A step is kept when the ratio of actual to
     predicted increase, both offset by 1e3 eps |f| against cancellation,
     exceeds 0.1; the radius is quartered below a ratio of 0.25 and doubled,
     up to TR_RADIUS, above 0.75 at the boundary.  The fit stops once a kept
@@ -459,73 +474,96 @@ def hooi(
 
     n, m, k = t.dims
     l1, l2, l3 = ranks
-    linalg.squared_norm(t.values)  # raises before any other work when ||x||^2 overflows
-    norm_x = frobenius_norm(t)  # summed pairwise: the residual history carries its digits
+    x = t.values
+    x1 = x.reshape(n, m * k)
+    norm_x = frobenius_norm(t)  # one pass, no copy; raises first when ||x||^2 overflows
     norm_x_sq = norm_x * norm_x
     scale = norm_x if norm_x > 0 else 1.0
-    r = np.linalg.qr(t.values.reshape(n, m * k), mode="r")
-    compressed = r.reshape(-1, m, k)
-    model = hosvd_init(Tensor3(compressed), ranks)
-    # G = R^T R, no larger than R once R is square; rows (j, k) as R's columns.  Formed
-    # after the start, so that the start's temporaries and G are not held at once
-    gram = (r.T @ r).reshape(-1, m, k) if n >= m * k else None
+    # G = X(1)^T X(1), no larger than the data once N >= M*K; rows (j, k) as X(1)'s columns
+    gram = (x1.T @ x1).reshape(-1, m, k) if n >= m * k else None
+
+    if gram is None:
+        u2, u3 = (_top_left_vectors(unfold(t, mode), rank) for mode, rank in ((2, l2), (3, l3)))
+    else:
+        # the Grams of unfold(t, 2) and unfold(t, 3) are partial traces of G
+        g4 = gram.reshape(m, k, m, k)
+        u2 = _top_left_vectors(lambda: unfold(t, 2), l2, np.trace(g4, axis1=1, axis2=3))
+        u3 = _top_left_vectors(lambda: unfold(t, 3), l3, np.trace(g4, axis1=0, axis2=2))
 
     def lift(w2, w3) -> np.ndarray:
         """U1 from the data: the top-l1 left singular vectors of X(1) W, W from w2 and w3."""
-        return _top_left_vectors(_contracted(t.values, None, w2, w3, mode=1), l1)
+        return _top_left_vectors(_contracted(x, None, w2, w3, mode=1), l1)
 
     def factor_change(moved: float, w, previous_w) -> float:
         """moved, the U2/U3 change, or once that passes factor_tol the U1 lift's change too."""
         if moved < factor_tol:
-            # U1 leaves the compressed coordinates only once U2 and U3 pass
+            # the U1 lift reads the data: it is taken only once U2 and U3 pass
             moved = max(moved, float(np.max(np.abs(lift(*w) - lift(*previous_w)))))
         return moved
 
     def residual(core_sq: float, approx) -> float:
         # orthonormal factors + projected core: ||resid||^2 = ||x||^2 - ||core||^2; where
-        # cancellation would dominate, subtract approx(), the model on R's coordinates
+        # cancellation would dominate, subtract approx(), the model, from the data
         r2 = norm_x_sq - core_sq
         if not np.isfinite(r2):
             raise FloatingPointError("non-finite values during HOOI iteration")
         if r2 > (1e-6 * scale) ** 2:
             return float(np.sqrt(r2))
-        err = float(np.linalg.norm((compressed - approx()).ravel()))
+        err = float(np.linalg.norm((x - approx()).ravel()))
         if not np.isfinite(err):
             raise FloatingPointError("non-finite values during HOOI iteration")
         return err
 
     @functools.cache
-    def swapped() -> np.ndarray:
-        """R with modes 2 and 3 swapped, C-ordered; copied once, when the trust region starts."""
-        return np.ascontiguousarray(compressed.transpose(0, 2, 1))
+    def trust_data() -> tuple[np.ndarray, np.ndarray]:
+        """The trust region's R (R^T R = G) and its C-ordered copy with modes 2 and 3 swapped.
+
+        Formed once, when the trust region first starts: R is the Cholesky
+        factor of G, the R of a QR of X(1) where G is not numerically positive
+        definite (M*K rows either way), and X(1) itself where there is no G.
+        """
+        r = x
+        if gram is not None:
+            try:
+                r = np.ascontiguousarray(np.linalg.cholesky(gram.reshape(m * k, m * k)).T)
+            except np.linalg.LinAlgError:
+                r = np.linalg.qr(x1, mode="r")
+            r = r.reshape(-1, m, k)
+        return r, np.ascontiguousarray(r.transpose(0, 2, 1))
 
     def sweep(in2, in3):
-        """One plain sweep from (in2, in3): the new U2 and U3 and the new model's residual."""
+        """One plain sweep from (in2, in3): the new U2 and U3, the new model's residual, and
+        a thunk for the residual of (in2, in3) with their optimal U1."""
         top = None
         if gram is not None:
-            # P = (U2 kron U3) G, so A^T A = P (U2 kron U3)^T for A = R(1) (U2 kron U3)^T
+            # P = (U2 kron U3) G, so A^T A = P (U2 kron U3)^T for A = X(1) (U2 kron U3)^T
             p = _contracted(gram, None, in2, in3, mode=1).T
             top = _top_eigenpairs(_contracted(p.reshape(-1, m, k), None, in2, in3, mode=1), l1)
         if top is None:
-            s1 = _top_left_vectors(_contracted(compressed, None, in2, in3, mode=1), l1)
-            z, v1 = s1 @ r, lambda: s1
+            s1 = _top_left_vectors(_contracted(x, None, in2, in3, mode=1), l1)
+            z, v1 = s1 @ x1, lambda: s1
         else:
-            # V1 = Lambda^-1/2 W_A^T A^T, so Z = V1 R(1) = Lambda^-1/2 W_A^T P without V1
+            # V1 = Lambda^-1/2 W_A^T A^T, so Z = V1 X(1) = Lambda^-1/2 W_A^T P without V1
             coef = top[1] / np.sqrt(top[0])
-            z, v1 = coef.T @ p, lambda: (_contracted(compressed, None, in2, in3, mode=1) @ coef).T
+            z, v1 = coef.T @ p, lambda: (_contracted(x, None, in2, in3, mode=1) @ coef).T
         # Z already carries the mode-1 factor: None skips it
         z = z.reshape(l1, m, k)
+
+        def before() -> float:
+            core_in = _contracted(z, None, in2, in3, mode=1).reshape(l1, l3, l2)
+            return residual(float(np.vdot(core_in, core_in)), lambda: np.einsum(
+                "acb,ai,bj,ck->ijk", core_in, v1(), in2, in3, optimize=True))
+
         s2 = _top_left_vectors(_contracted(z, None, in2, in3, mode=2), l2)
         contracted3 = _contracted(z, None, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
         core = (s3 @ contracted3).reshape(l3, l2, l1)
         return s2, s3, residual(float(np.vdot(core, core)), lambda: np.einsum(
-            "cba,ai,bj,ck->ijk", core, v1(), s2, s3, optimize=True))
+            "cba,ai,bj,ck->ijk", core, v1(), s2, s3, optimize=True)), before
 
-    u2, u3 = model.u2, model.u3
-    history = [residual(float(np.sum(model.core * model.core)), lambda: reconstruct(model).values)]
-    # the W that V1 came from: the HOSVD start's is the identity
-    w = (np.eye(m), np.eye(k))
+    history = []
+    # the W that V1 came from: the start's U1 is the optimal one for its U2 and U3
+    w = (u2, u3)
     point = None  # the trust region's current point, once it has taken over
     radius = TR_RADIUS
     sweeps = newton_steps = 0
@@ -536,7 +574,7 @@ def hooi(
             noise = 1e3 * np.finfo(float).eps * abs(point.f)  # rounding level of f and its gradient
             step, predicted = _truncated_cg(point, radius, noise)
             step2, step3 = point.split(step)
-            trial = _CoreNorm(compressed, swapped(), _retract(u2, step2), _retract(u3, step3), l1)
+            trial = _CoreNorm(*trust_data(), _retract(u2, step2), _retract(u3, step3), l1)
             rho = (trial.f - point.f + noise) / (predicted + noise)
             if rho < 0.25:
                 radius /= 4
@@ -556,7 +594,9 @@ def hooi(
                 point = None
             continue
         previous_w, w = w, (u2, u3)
-        u2, u3, err = sweep(*w)
+        u2, u3, err, before = sweep(*w)
+        if not history:
+            history.append(before())
         sweeps += 1
         history.append(err)
         if abs(history[-2] - history[-1]) / scale < tol:
@@ -565,17 +605,17 @@ def hooi(
             if moved < factor_tol:
                 stop_reason = "factor_tol"
                 break
-            point = _CoreNorm(compressed, swapped(), u2, u3, l1)
+            point = _CoreNorm(*trust_data(), u2, u3, l1)
             if point.degenerate:
                 point = None
 
     if w[0] is u2:
         # the last iterate is the trust region's: one sweep puts U2 and U3 in the sweeps' basis
-        u2, u3, err = sweep(u2, u3)
+        u2, u3, err, _ = sweep(u2, u3)
         sweeps += 1
         history.append(err)
     u1 = lift(*w)
-    core = _folding(u1 @ _contracted(t.values, u1, u2, u3, mode=1), 1, ranks)
+    core = _folding(u1 @ _contracted(x, u1, u2, u3, mode=1), 1, ranks)
     model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)
     report = FitReport(
         sweeps=sweeps,
@@ -620,16 +660,16 @@ def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: fl
     _check_dims(t, model)
 
 
-def _mode_posterior(x: np.ndarray, model: TuckerModel, mode: int,
+def _mode_posterior(y: np.ndarray, model: TuckerModel, mode: int,
                     alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Mean (gram + alpha/beta I)^+ G(m) Y(m)^T and covariance (alpha I + beta gram)^+.
 
-    gram is Phi(m)^T Phi(m), inverted from the SVD of G(m) K (see the module docstring).
+    y is Y(m), the data contracted with the model's factors; gram is
+    Phi(m)^T Phi(m), inverted from the SVD of G(m) K (see the module docstring).
     """
-    factors = (model.u1, model.u2, model.u3)
     g = _unfolding(model.core, mode)
-    inv = linalg.gram_inverse(g @ _kron_root(factors, mode), alpha / beta)
-    return inv @ (g @ _contracted(x, *factors, mode).T), inv / beta
+    inv = linalg.gram_inverse(g @ _kron_root((model.u1, model.u2, model.u3), mode), alpha / beta)
+    return inv @ (g @ y.T), inv / beta
 
 
 def posterior_stats(
@@ -644,7 +684,8 @@ def posterior_stats(
     if mode not in UNFOLD_AXES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     _check_posterior_args(t, model, alpha, beta)
-    return _mode_posterior(t.values, model, mode, alpha, beta)
+    y = _contracted(t.values, model.u1, model.u2, model.u3, mode)
+    return _mode_posterior(y, model, mode, alpha, beta)
 
 
 def _residual(t: Tensor3, x_sq: float, model: TuckerModel, y3: np.ndarray) -> tuple[float, float]:
@@ -776,13 +817,19 @@ def self_consistency_check(
     The model is accepted when every deviation is at most `tol`.
     """
     _check_posterior_args(t, model, alpha, beta)
+    factors = (model.u1, model.u2, model.u3)
     deviations = []
     for mode in (1, 2, 3):
         u = model.factor(mode)
-        m = _mode_posterior(t.values, model, mode, alpha, beta)[0]
+        y = _contracted(t.values, *factors, mode)
+        m = _mode_posterior(y, model, mode, alpha, beta)[0]
         m *= np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)[:, None]
         deviations.append(float(np.max(np.abs(u - m))))
-    core = _least_squares_core(t.values, model.u1, model.u2, model.u3)
+    # as _least_squares_core, whose contraction is the last y, Y(3), where every factor
+    # is its own map
+    p = [_core_factor(u) for u in factors]
+    y3 = y if all(a is b for a, b in zip(p, factors)) else _contracted(t.values, *p, 3)
+    core = _folding(p[2] @ y3, 3, [u.shape[0] for u in p])
     core_dev = float(np.max(np.abs(model.core - core)))
     return ConsistencyCheck(self_consistent=bool(max(*deviations, core_dev) <= tol),
                             mode_deviations=np.array(deviations), core_deviation=core_dev, tol=tol)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import FileFormatError
 
 # Per mode: (row axis, fastest column axis, slowest column axis) of its unfolding.
@@ -124,7 +125,11 @@ def reconstruct(model) -> Tensor3:
 
 
 def frobenius_norm(t: Tensor3) -> float:
-    return float(np.sqrt(np.sum(t.values * t.values)))
+    """||t|| from one dot product of the values, without a squared copy of them.
+
+    Raises FloatingPointError where ||t||^2 overflows float64.
+    """
+    return math.sqrt(linalg.squared_norm(t.values))
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,9 @@ def reference_top_vectors(y, rank):
 def reference_hooi(t, ranks, max_iter, tol, factor_tol):
     """Textbook HOOI: einsum contractions and linalg.svd top vectors on the full tensor.
 
-    No compression and no trust-region finish; starts from the textbook HOSVD and
-    stops by the same two criteria as hooi.  Returns (model, residual history).
+    No Gram matrix and no trust-region finish; starts from the textbook HOSVD's U2
+    and U3 with their optimal U1 (:func:`reference_optimal_u1`), and stops by the
+    same two criteria as hooi.  Returns (model, residual history).
     """
     x = t.values
     scale = np.linalg.norm(x)
@@ -78,7 +79,8 @@ def reference_hooi(t, ranks, max_iter, tol, factor_tol):
         approx = np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, optimize=True)
         return core, float(np.linalg.norm(x - approx))
 
-    u = [linalg.svd(unfold(t, m), rank=r).U.T for m, r in zip((1, 2, 3), ranks)]
+    u = [linalg.svd(unfold(t, m), rank=r).U.T for m, r in zip((2, 3), ranks[1:])]
+    u = [reference_optimal_u1(t, *u, ranks[0]), *u]
     core, res = fit(*u)
     history = [res]
     for _ in range(max_iter):
@@ -95,10 +97,15 @@ def reference_hooi(t, ranks, max_iter, tol, factor_tol):
     return TuckerModel(core=core, u1=u[0], u2=u[1], u3=u[2]), np.array(history)
 
 
+def reference_optimal_u1(t, u2, u3, l1):
+    """U1 optimal for (u2, u3): the top-l1 left singular vectors of the mode-1 contraction."""
+    return reference_top_vectors(np.einsum("ijk,bj,ck->ibc", t.values, u2, u3, optimize=True), l1)
+
+
 def reference_core_norm(t, u2, u3, l1):
-    """||core||^2 at (u2, u3) with u1 the top-l1 left singular vectors of the mode-1 contraction."""
-    y = np.einsum("ijk,bj,ck->ibc", t.values, u2, u3, optimize=True)
-    core = np.einsum("ibc,ai->abc", y, reference_top_vectors(y, l1), optimize=True)
+    """||core||^2 at (u2, u3) with u1 optimal for them (:func:`reference_optimal_u1`)."""
+    u1 = reference_optimal_u1(t, u2, u3, l1)
+    core = np.einsum("ijk,ai,bj,ck->abc", t.values, u1, u2, u3, optimize=True)
     return float(np.sum(core * core))
 
 

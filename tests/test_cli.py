@@ -768,7 +768,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
     def test_overflowing_tensor_exit_3(self, tmp_path, capsys, dims):
-        # an entry of 1e160 overflows ||x||^2, and on the tall tensor G = R^T R too: one line,
+        # an entry of 1e160 overflows ||x||^2, and on the tall tensor G = X(1)^T X(1) too: one line,
         # no warning, before an eigensolver meets an infinity
         x = np.random.default_rng(3).normal(size=dims)
         x[2, 1, 1] = 1e160

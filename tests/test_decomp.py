@@ -15,6 +15,7 @@ from btucker.cli import build_config
 from btucker.decomp import (
     BETA_CAP,
     DEFAULT_FACTOR_TOL,
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RESIDUAL_CANCELLATION,
     SELF_CONSISTENCY_TOL,
@@ -128,7 +129,7 @@ class TestHooi:
     def test_improves_on_hosvd(self):
         t = random_tensor((10, 8, 6), seed=6)
         _, report = hooi(t, (3, 2, 2))
-        # history[0] is the HOSVD-initialized error
+        # history[0] is the error of the HOSVD's U2 and U3 with their optimal U1
         assert report.residual_history[-1] <= report.residual_history[0] + 1e-12
 
     def test_factor_orthonormality(self):
@@ -155,7 +156,7 @@ class TestHooi:
 
     @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
     def test_one_sweep_matches_reference(self, dims):
-        # tall: N > M*K, so the QR compression drops rows; short: N <= M*K
+        # tall: N > M*K, so the sweeps run on G = X(1)^T X(1); short: N <= M*K
         ranks = (2, 2, 2)
         t = planted_tensor(dims, ranks, noise=0.1, seed=44)
         model, report = hooi(t, ranks, max_iter=1)
@@ -238,7 +239,7 @@ class TestHooi:
 
 
 class TestHooiRoutes:
-    """hooi's two mode-1 routes: on G = R^T R once N >= M*K (tall), on R otherwise (short)."""
+    """hooi's two mode-1 routes: on G = X(1)^T X(1) once N >= M*K (tall), on X(1) otherwise."""
 
     # tall: 40 >= 4*3, so the sweeps run on G; short: 12 < 5*4, so they run on R.  Neither
     # fit meets the residual criterion within 20 sweeps, so each is plain HOOI throughout
@@ -271,28 +272,93 @@ class TestHooiRoutes:
     @pytest.mark.parametrize("ranks", [(2, 2, 2), (3, 2, 2)])
     def test_exact_rank_on_g(self, monkeypatch, ranks):
         # exact rank (2, 2, 2) and N >= M*K: every residual is below 1e-6 |x|, so each one is
-        # recomputed from the model (at L1 = 2 through the lazily formed V1), and at L1 = 3
-        # the third eigenvalue of A^T A is zero, so each sweep's mode 1 takes the top vectors
-        # of A = R(1) (U2 kron U3)^T itself, the only (M*K, L2*L3) matrix they are taken of
+        # recomputed from the model and the data (at L1 = 2 through the lazily formed V1), and
+        # at L1 = 3 the third eigenvalue of A^T A is zero, so each sweep's mode 1 takes the top
+        # vectors of A = X(1) (U2 kron U3)^T itself; the only other (N, L2*L3) matrix they are
+        # taken of is the one of the returned U1's lift
         dims = (30, 4, 3)
         t = reconstruct(random_model(dims, (2, 2, 2), seed=53))
         shapes = []
 
-        def top_left_vectors(b, rank):
-            shapes.append(b.shape)
-            return _top_left_vectors(b, rank)
+        def top_left_vectors(b, rank, *gram):
+            # the start passes its Gram matrix, with b a function for the SVD fallback
+            shapes.append(None if gram else b.shape)
+            return _top_left_vectors(b, rank, *gram)
 
         monkeypatch.setattr(decomp, "_top_left_vectors", top_left_vectors)
         model, report = hooi(t, ranks, max_iter=3, tol=1e-300)
         expected, history = reference_hooi(t, ranks, max_iter=3, tol=1e-300,
                                            factor_tol=DEFAULT_FACTOR_TOL)
-        assert report.sweeps == 3 and shapes.count((12, 4)) == (3 if ranks[0] == 3 else 0)
+        assert report.sweeps == 3 and shapes.count((30, 4)) == (4 if ranks[0] == 3 else 1)
         assert np.max(report.residual_history) < 1e-13 * frobenius_norm(t)
         assert np.max(np.abs(report.residual_history - history)) < 1e-12
         # rows beyond the data's rank 2 are arbitrary in both
         for got, want in ((model.u1[:2], expected.u1[:2]), (model.u2, expected.u2),
                           (model.u3, expected.u3), (model.core[:2], expected.core[:2])):
             assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_no_qr_and_no_large_eigensolve(self, monkeypatch):
+        # the tall fit works from G alone: the only QR is the trust region's (dim x rank)
+        # retraction, and no eigensolve is larger than max(L2*L3, M, K)
+        dims, ranks, seed = self.CASES["tall"]
+        t = random_tensor(dims, seed=seed)
+        qr_shapes, eigh_shapes = [], []
+        qr, eigh = np.linalg.qr, np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs:
+                            qr_shapes.append(a.shape) or qr(a, *args, **kwargs))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs:
+                            eigh_shapes.append(a.shape) or eigh(a, *args, **kwargs))
+        _, report = hooi(t, ranks)
+        assert report.newton_steps >= 1
+        assert set(qr_shapes) == {(dims[1], ranks[1]), (dims[2], ranks[2])}
+        assert max(map(max, eigh_shapes)) <= max(ranks[1] * ranks[2], dims[1], dims[2])
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["cholesky", "singular"])
+    def test_trust_region_data(self, monkeypatch, singular):
+        # the trust region runs on the Cholesky factor R of G (R^T R = G, M*K rows); a zero
+        # column of X(1) (x[:, 0, 0] = 0) makes G singular, and there it runs on the R of a
+        # QR of X(1), M*K rows too
+        dims, ranks, seed = self.CASES["tall"]
+        x = np.random.default_rng(seed).normal(size=dims)
+        if singular:
+            x[:, 0, 0] = 0.0
+        t = Tensor3(x)
+        rows, qr_shapes = [], []
+
+        class CoreNorm(_CoreNorm):
+            def __init__(self, work, *args):
+                rows.append(work.shape[0])
+                super().__init__(work, *args)
+
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs:
+                            qr_shapes.append(a.shape) or qr(a, *args, **kwargs))
+        monkeypatch.setattr(decomp, "_CoreNorm", CoreNorm)
+        model, report = hooi(t, ranks)
+        assert report.newton_steps >= 1
+        assert set(rows) == {dims[1] * dims[2]}
+        assert qr_shapes.count((dims[0], dims[1] * dims[2])) == (1 if singular else 0)
+        check = self_consistency_check(t, model, alpha=0.0, beta=estimate_beta(t, model))
+        assert check.self_consistent
+        expected, _ = reference_hooi(t, ranks, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL,
+                                     factor_tol=DEFAULT_FACTOR_TOL)
+        want = float(np.sum(expected.core ** 2))
+        assert abs(float(np.sum(model.core ** 2)) - want) <= 1e-10 * want
+
+    def test_near_exact_residual_from_the_data(self):
+        # 1e-9 noise on a rank-(2, 2, 2) model: every residual is below 1e-6 |x|, where
+        # sqrt(|x|^2 - |core|^2) would cancel to about sqrt(eps) |x|, so each one is formed by
+        # subtracting the model from the data, as the reference forms it.  The model's entries
+        # round at eps |x_ijk|, against residual entries of 1e-9: the two sides agree to 2.1e-10
+        # of the residual here (3.1e-10 when the residual was formed on the data's QR factor),
+        # so the bound is 1e-9
+        t = planted_tensor((80, 8, 8), (2, 2, 2), noise=1e-9, seed=80)
+        _, report = hooi(t, (2, 2, 2))
+        _, history = reference_hooi(t, (2, 2, 2), max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL,
+                                    factor_tol=DEFAULT_FACTOR_TOL)
+        assert report.residual_history.size == history.size
+        assert np.max(history) < 1e-6 * np.linalg.norm(t.values)
+        assert np.all(np.abs(report.residual_history - history) <= 1e-9 * history)
 
 
 class TestTopLeftVectors:
@@ -899,6 +965,26 @@ class TestSelfConsistency:
         check = self_consistency_check(t, perturbed, alpha=0.0, beta=estimate_beta(t, model))
         assert not check.self_consistent
         assert abs(check.core_deviation - 1e-4) <= 1e-12
+
+    @pytest.mark.parametrize("orthonormal, reads", [(True, 3), (False, 4)])
+    def test_reads_the_data_once_per_mode(self, monkeypatch, orthonormal, reads):
+        # the core solve reuses mode 3's Y(3) where every factor is its own map; a factor that
+        # is not orthonormal enters as pinv(u)^T, which takes a fourth pass over the data
+        t = random_tensor((12, 9, 7), seed=38)
+        model = hosvd_init(t, (3, 2, 2))
+        if not orthonormal:
+            model = TuckerModel(core=model.core, u1=1.1 * model.u1, u2=model.u2, u3=model.u3)
+        passes = []
+
+        def contracted(x, *args, **kwargs):
+            passes.append(x is t.values)
+            return _contracted(x, *args, **kwargs)
+
+        monkeypatch.setattr(decomp, "_contracted", contracted)
+        check = self_consistency_check(t, model, alpha=0.0, beta=1.0)
+        assert passes.count(True) == reads
+        core = core_regression(t, model.u1, model.u2, model.u3)
+        assert check.core_deviation == float(np.max(np.abs(model.core - core)))
 
     def test_exact_separable_model(self):
         t, (a, b, c) = separable_tensor((6, 5, 4), seed=40)

@@ -168,6 +168,13 @@ class TestFrobeniusNorm:
         t = random_tensor((3, 3, 3), seed=12)
         assert np.isclose(frobenius_norm(t) ** 2, np.sum(t.values**2), rtol=1e-12)
 
+    def test_overflowing_square_raises(self):
+        # every entry is finite, but ||t||^2 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                frobenius_norm(Tensor3(np.full((2, 2, 2), 1e160)))
+
 
 class TestTextFormat:
     def test_tensor_round_trip_exact(self, tmp_path):
