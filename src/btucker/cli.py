@@ -513,7 +513,9 @@ def main(argv=None) -> int:
             run_dir = Path(args.run_dir) if args.run_dir else out_dir
             return cmd_report(run_dir)
         raise ValueError(f"unknown command {args.command!r}")
-    except (NumericalDegeneracyError, FloatingPointError) as exc:  # overflow is degeneracy
+    # overflow, and a LAPACK routine that fails to converge, are degeneracy; LinAlgError is a
+    # ValueError, so it is caught before the usage code
+    except (NumericalDegeneracyError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (OSError, json.JSONDecodeError) as exc:

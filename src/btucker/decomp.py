@@ -1,12 +1,12 @@
 """Tucker solvers and posterior statistics.
 
 Two routes to the same decomposition: :func:`hooi`, higher-order orthogonal
-iteration from the mode-2 and mode-3 factors of the HOSVD (:func:`hosvd_init`)
-finished by a Riemannian trust-region Newton phase on the exact Hessian of
-||core||^2 (the default), and :func:`btud_fit`, which
-updates each factor row as a (possibly ridge-regularized) least-squares
-coefficient against the design Phi built from the core and the other two
-factors, re-orthonormalizes it and re-solves the core after every component.
+iteration (:class:`_Sweeper`) from the mode-2 and mode-3 factors of the HOSVD,
+finished by Riemannian trust-region Newton steps on the exact Hessian of
+||core||^2 (:func:`_trust_region_step`), and :func:`btud_fit`, which updates
+each factor row as a (possibly ridge-regularized) least-squares coefficient
+against the design Phi built from the core and the other two factors,
+re-orthonormalizes it and re-solves the core after every component.
 :func:`self_consistency_check` certifies a model as a stationary point of the
 regression by comparing each factor with its posterior mean and the core
 with the least-squares core of the factors, which every solver here returns.
@@ -26,9 +26,7 @@ for alpha = 0 and alpha > 0 alike, the inverse taken from the SVD of G(m) K
 number is the square of Phi's.  The posterior is S = (alpha*I + beta*Phi^T
 Phi)^+ with mean beta*S*Phi^T x.  The least-squares core is the data
 contracted with u_m, or pinv(u_m)^T = (u_m u_m^T)^+ u_m, in every mode; no
-(L1*L2*L3)-sided matrix is formed.  :func:`hooi` runs the same
-kernel on G = X(1)^T X(1), the Gram matrix of the mode-1 unfolding, whenever
-G is no larger than the data (N >= M*K).  The kernel, :func:`_contracted`,
+(L1*L2*L3)-sided matrix is formed.  The kernel, :func:`_contracted`,
 reads the C-ordered (N, M, K) data in place and copies nothing of its size:
 mode 1 contracts K, then M; mode 2 contracts K, as x.reshape(N*M, K) U3^T,
 then N; mode 3 contracts N, as U1 x.reshape(N, M*K), then M.
@@ -118,7 +116,8 @@ class FitReport:
     sweeps counts the sweeps (for :func:`hooi`, the plain ones, not its
     trust-region steps), and residual_history[0] is the error of the initial
     model (for :func:`hooi`, the HOSVD's U2 and U3 with their optimal U1)
-    with one entry per sweep after it, so the history never rises.
+    with one entry per sweep after it.  The history does not rise, except at
+    the rounding level of a residual formed from the data (near-exact fits).
     stop_reason names the criterion that ended the run: "factor_tol" (the
     largest entrywise factor change fell below its bound, for :func:`hooi`
     once the relative residual change had fallen below tol) or "max_iter"
@@ -225,6 +224,16 @@ def _core_factor(u: np.ndarray) -> np.ndarray:
     """The core solve's map: u, or pinv(u)^T if u is over ORTHONORMALITY_TOL from orthonormal."""
     defect = float(np.max(np.abs(u @ u.T - np.eye(u.shape[0]))))
     return u if defect <= ORTHONORMALITY_TOL else linalg.gram_inverse(u) @ u
+
+
+def _core_data(x: np.ndarray, factors, mode: int, y: np.ndarray | None = None) -> np.ndarray:
+    """The data contracted with the core solve's maps (:func:`_core_factor`), unfolded along mode.
+
+    y, the data's Y(m) with the factors themselves, is that contraction when
+    every factor is its own map, and is then returned as it is.
+    """
+    p = [_core_factor(u) for u in factors]
+    return y if y is not None and all(a is b for a, b in zip(p, factors)) else _contracted(x, *p, mode)
 
 
 def _top_eigenpairs(gram: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -364,6 +373,127 @@ def hosvd_init(t: Tensor3, ranks) -> TuckerModel:
     return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
 
 
+class _Sweeper:
+    """hooi's plain sweeps and the data they read: X(1), ||x||, G and the trust region's R.
+
+    A sweep from (U2, U3) contracts the data at most once.  Mode 1 contracts
+    it with the mode-2/3 factors, A = X(1) W^T with W their Kronecker product
+    in the kernel's column order, and its new factor V1 = Lambda^-1/2 W_A^T
+    A^T, from the top-L1 eigenpairs (Lambda, W_A) of A^T A, gives Z = V1 X(1),
+    an (L1, M, K) tensor from which modes 2 and 3 and the projected core
+    follow.  The mode-1 route is decided once, from the shape.  When
+    N >= M*K, G = X(1)^T X(1), formed by one product of the data, is no
+    larger than the data: each sweep then takes P = W G through the
+    contraction kernel, A^T A = P W^T and Z = Lambda^-1/2 W_A^T P, so neither
+    A, V1 nor an (L1, M*K) x (M*K, M*K) product is formed.  V1 is formed, from
+    the data, only where :meth:`residual` forms the model, and a mode-1
+    spectrum below the noise floor of :func:`_top_eigenpairs` takes the top
+    vectors of A from the data instead, through :meth:`lift`.  When N < M*K,
+    G would be larger than the data, and each sweep forms A and Z from the
+    data and V1 from A.  Other top vectors come from the smaller Gram matrix.
+    `history` holds the residual of the start with its optimal U1, which
+    bounds the first sweep's from above, then one entry per sweep.
+    """
+
+    def __init__(self, t: Tensor3, ranks: tuple[int, int, int], factor_tol: float):
+        n, m, k = t.dims
+        self.t, self.x, self.ranks, self.factor_tol = t, t.values, ranks, factor_tol
+        self.x1 = self.x.reshape(n, m * k)
+        norm_x = frobenius_norm(t)  # one pass, no copy; raises first when ||x||^2 overflows
+        self.norm_x_sq, self.scale = norm_x * norm_x, norm_x if norm_x > 0 else 1.0
+        # G = X(1)^T X(1), no larger than the data once N >= M*K; rows (j, k) as X(1)'s columns
+        self.gram = (self.x1.T @ self.x1).reshape(-1, m, k) if n >= m * k else None
+        self.history = []
+
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The HOSVD's U2 and U3; no U1 or core is formed for them.
+
+        On the G route their Grams, those of unfold(t, 2) and unfold(t, 3), are
+        partial traces of G, and the unfolding is formed only for the SVD below
+        their noise floor.
+        """
+        (_, l2, l3), t = self.ranks, self.t
+        if self.gram is None:
+            return _top_left_vectors(unfold(t, 2), l2), _top_left_vectors(unfold(t, 3), l3)
+        g4 = self.gram.reshape(self.gram.shape[1:] * 2)
+        return (_top_left_vectors(lambda: unfold(t, 2), l2, np.trace(g4, axis1=1, axis2=3)),
+                _top_left_vectors(lambda: unfold(t, 3), l3, np.trace(g4, axis1=0, axis2=2)))
+
+    def lift(self, w2, w3) -> np.ndarray:
+        """U1 from the data: the top-L1 left singular vectors of X(1) W, W from w2 and w3."""
+        return _top_left_vectors(_contracted(self.x, None, w2, w3, mode=1), self.ranks[0])
+
+    def factor_change(self, moved: float, w, previous_w) -> float:
+        """moved, the U2/U3 change, or once that passes factor_tol the U1 lift's change too."""
+        if moved < self.factor_tol:
+            # the U1 lift reads the data: it is taken only once U2 and U3 pass
+            moved = max(moved, float(np.max(np.abs(self.lift(*w) - self.lift(*previous_w)))))
+        return moved
+
+    def residual(self, core: np.ndarray, axes: str, v1, u2, u3) -> float:
+        """||x - [[core; v1(), u2, u3]]|| for orthonormal factors and the projected core.
+
+        axes names core's modes in einsum's letters (a, b, c for modes 1-3).
+        The residual is sqrt(||x||^2 - ||core||^2) unless that is at or below
+        1e-6 ||x||, where cancellation would dominate: there the model is
+        formed, with v1 called for U1, and subtracted from the data.
+        """
+        r2 = self.norm_x_sq - float(np.vdot(core, core))
+        if not np.isfinite(r2):
+            raise FloatingPointError("non-finite values during HOOI iteration")
+        if r2 > (1e-6 * self.scale) ** 2:
+            return float(np.sqrt(r2))
+        model = np.einsum(axes + ",ai,bj,ck->ijk", core, v1(), u2, u3, optimize=True)
+        err = float(np.linalg.norm((self.x - model).ravel()))
+        if not np.isfinite(err):
+            raise FloatingPointError("non-finite values during HOOI iteration")
+        return err
+
+    @functools.cached_property
+    def trust_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trust region's R (R^T R = G) and its C-ordered copy with modes 2 and 3 swapped.
+
+        Formed once, when the trust region first starts: R is the Cholesky
+        factor of G, the R of a QR of X(1) where G is not numerically positive
+        definite (M*K rows either way), and X(1) itself where there is no G.
+        """
+        r = self.x
+        if self.gram is not None:
+            try:
+                r = np.linalg.cholesky(self.gram.reshape(len(self.gram), -1)).T.copy()
+            except np.linalg.LinAlgError:
+                r = np.linalg.qr(self.x1, mode="r")
+            r = r.reshape(self.gram.shape)
+        return r, np.ascontiguousarray(r.transpose(0, 2, 1))
+
+    def sweep(self, in2, in3) -> tuple[np.ndarray, np.ndarray]:
+        """One plain sweep from (in2, in3): the new U2 and U3, whose residual joins history."""
+        (l1, l2, l3), (m, k) = self.ranks, self.x.shape[1:]
+        top = None
+        if self.gram is not None:
+            # P = (U2 kron U3) G, so A^T A = P (U2 kron U3)^T for A = X(1) (U2 kron U3)^T
+            p = _contracted(self.gram, None, in2, in3, mode=1).T
+            top = _top_eigenpairs(_contracted(p.reshape(-1, m, k), None, in2, in3, mode=1), l1)
+        if top is None:
+            s1 = self.lift(in2, in3)
+            z, v1 = s1 @ self.x1, lambda: s1
+        else:
+            # V1 = Lambda^-1/2 W_A^T A^T, so Z = V1 X(1) = Lambda^-1/2 W_A^T P without V1
+            coef = top[1] / np.sqrt(top[0])
+            z, v1 = coef.T @ p, lambda: (_contracted(self.x, None, in2, in3, mode=1) @ coef).T
+        # Z already carries the mode-1 factor: None skips it
+        z = z.reshape(l1, m, k)
+        if not self.history:
+            core_in = _contracted(z, None, in2, in3, mode=1).reshape(l1, l3, l2)
+            self.history.append(self.residual(core_in, "acb", v1, in2, in3))
+        s2 = _top_left_vectors(_contracted(z, None, in2, in3, mode=2), l2)
+        contracted3 = _contracted(z, None, s2, in3, mode=3)
+        s3 = _top_left_vectors(contracted3, l3)
+        core = (s3 @ contracted3).reshape(l3, l2, l1)
+        self.history.append(self.residual(core, "cba", v1, s2, s3))
+        return s2, s3
+
+
 def _retract(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of u + xi (QR retraction)."""
     return np.linalg.qr((u + xi).T)[0].T
@@ -399,6 +529,34 @@ def _truncated_cg(point: _CoreNorm, radius: float, floor: float) -> tuple[np.nda
     return eta, float(g @ eta + 0.5 * (eta @ h_eta))
 
 
+def _trust_region_step(sweeper: _Sweeper, point: _CoreNorm,
+                       radius: float) -> tuple[_CoreNorm | None, float, float]:
+    """One Riemannian trust-region step from `point` (Absil, Baker & Gallivan 2007).
+
+    It maximizes ||core||^2 over the Grassmann pair (U2, U3) with U1 optimal,
+    on :class:`_CoreNorm`'s exact gradient and Hessian, the step from
+    :func:`_truncated_cg` and retracted by QR.  Every quantity there is
+    bilinear in X(1), so it runs on any R with R^T R = G
+    (:attr:`_Sweeper.trust_data`).  The step is kept when the ratio of
+    actual to predicted increase, both offset by 1e3 eps |f| against
+    cancellation, exceeds 0.1; the radius is quartered below a ratio of 0.25
+    and doubled, up to TR_RADIUS, above 0.75 for a step of at least 0.99 of
+    the radius.  Returns the trial point (None when the step is rejected),
+    the step's largest entry and the new radius.
+    """
+    noise = 1e3 * np.finfo(float).eps * abs(point.f)  # rounding level of f and its gradient
+    step, predicted = _truncated_cg(point, radius, noise)
+    step2, step3 = point.split(step)
+    trial = _CoreNorm(*sweeper.trust_data, _retract(point.u2, step2), _retract(point.u3, step3),
+                      sweeper.ranks[0])
+    rho = (trial.f - point.f + noise) / (predicted + noise)
+    if rho < 0.25:
+        radius /= 4
+    elif rho > 0.75 and np.linalg.norm(step) >= 0.99 * radius:
+        radius = min(2 * radius, TR_RADIUS)
+    return trial if rho > 0.1 else None, float(np.max(np.abs(step))), radius
+
+
 def hooi(
     t: Tensor3,
     ranks,
@@ -408,62 +566,28 @@ def hooi(
 ) -> tuple[TuckerModel, FitReport]:
     """Higher-order orthogonal iteration from an HOSVD start, finished by a trust region.
 
-    Each sweep updates every factor to the leading left singular vectors
-    of the contracted unfolding, then re-solves the core.  Plain sweeps run
-    until the change of the relative reconstruction error (residual
-    Frobenius norm over the input norm) falls below `tol`; the fit stops
-    there if the largest entrywise factor change of the sweep is also below
-    `factor_tol`.  The residual alone flattens long before near-degenerate
-    trailing components stop rotating; the regression fixed point that
-    :func:`self_consistency_check` certifies is reached only once the
-    factors themselves stop moving.
-
-    Each sweep contracts the data at most once.  Mode 1 contracts the data
-    with the mode-2/3 factors, A = X(1) W^T with W their Kronecker product
-    in the kernel's column order, and its new factor V1 = Lambda^-1/2 W_A^T
-    A^T, from the top-L1 eigenpairs (Lambda, W_A) of A^T A, gives
-    Z = V1 X(1), an (L1, M, K) tensor from which modes 2 and 3 and the
-    projected core follow.  When N >= M*K, G = X(1)^T X(1), formed once per
-    fit by one product of the data, is no larger than the data: each sweep
-    then takes P = W G through the contraction kernel, A^T A = P W^T and
-    Z = Lambda^-1/2 W_A^T P, so neither A, V1 nor an (L1, M*K) x (M*K, M*K)
-    product is formed.  V1 itself is formed, from the data, only where the
-    residual is recomputed from the model (below), and a mode-1 spectrum
-    below the noise floor of :func:`_top_eigenpairs` takes the top vectors
-    of A from the data instead.  When N < M*K, G would be larger than the
-    data, and each sweep forms A and Z from the data and V1 from A.  Other
-    top vectors come from the smaller Gram matrix.  The start is the HOSVD's
-    U2 and U3, on the G route from the partial traces of G (the Grams of
-    unfold(t, 2) and unfold(t, 3)), taken from the data's SVD below the
-    noise floor; no U1 or core is formed for it.  residual_history[0] is the
-    error of that start with its optimal U1, so it bounds history[1] from
-    above.  The residual is sqrt(||x||^2 - ||core||^2) unless that is below
-    1e-6 ||x||, where cancellation would dominate and the model is
-    subtracted from the data instead.  The returned U1 is computed once from
-    the data, as the top left singular vectors of unfold(t, 1) W for the W
-    that V1 came from.  The factor_tol test of U1 takes the same lift, and
-    the returned core is recomputed from the returned factors.  Data whose
-    squared norm overflows raise FloatingPointError before any of this.
+    Each sweep (:class:`_Sweeper`) updates every factor to the leading left
+    singular vectors of the contracted unfolding, then re-solves the core.
+    Plain sweeps run from the HOSVD's U2 and U3 until the change of the
+    relative reconstruction error (residual Frobenius norm over the input
+    norm) falls below `tol`; the fit stops there if the largest entrywise
+    factor change of the sweep is also below `factor_tol`.  The residual
+    alone flattens long before near-degenerate trailing components stop
+    rotating; the regression fixed point that :func:`self_consistency_check`
+    certifies is reached only once the factors themselves stop moving.
 
     Where the residual criterion holds but the factors still move, plain
     sweeps would close the rest of the way linearly, at about 0.995 per
-    sweep.  Instead a Riemannian trust region (Absil, Baker & Gallivan 2007)
-    maximizes ||core||^2 over the Grassmann pair (U2, U3) with U1 optimal,
-    on :class:`_CoreNorm`'s exact gradient and Hessian, each step from
-    :func:`_truncated_cg`.  Every quantity there is bilinear in X(1), so it
-    runs on any R with R^T R = G, formed when the trust region first starts:
-    on the G route the Cholesky factor of G, or the R of a QR of X(1) where
-    G is not numerically positive definite, and X(1) itself when N < M*K.
-    A step is kept when the ratio of actual to
-    predicted increase, both offset by 1e3 eps |f| against cancellation,
-    exceeds 0.1; the radius is quartered below a ratio of 0.25 and doubled,
-    up to TR_RADIUS, above 0.75 at the boundary.  The fit stops once a kept
-    step moves U2 and U3, and then the U1 lift, by less than `factor_tol`.
-    One plain sweep from that point gives U2 and U3 in the sweeps' basis.
-    Where the L1-th and (L1+1)-th eigenvalues of A^T A meet (see
-    :class:`_CoreNorm`), the Hessian is undefined and the fit keeps
+    sweep.  Trust-region steps (:func:`_trust_region_step`) take over there,
+    until a kept step moves U2 and U3, and then the U1 lift, by less than
+    `factor_tol`; one plain sweep from that point gives U2 and U3 in the
+    sweeps' basis.  Where the L1-th and (L1+1)-th eigenvalues of A^T A meet
+    (see :class:`_CoreNorm`), the Hessian is undefined and the fit keeps
     sweeping plainly.  `max_iter` bounds sweeps and trust-region steps
-    together.
+    together.  The returned U1 is computed once from the data, as the top
+    left singular vectors of unfold(t, 1) W for the W that V1 came from, and
+    the returned core from the returned factors.  Data whose squared norm
+    overflows raise FloatingPointError before any of this.
     """
     ranks = _validate_ranks(t.dims, ranks)
     if max_iter < 1:
@@ -472,167 +596,47 @@ def hooi(
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
 
-    n, m, k = t.dims
-    l1, l2, l3 = ranks
-    x = t.values
-    x1 = x.reshape(n, m * k)
-    norm_x = frobenius_norm(t)  # one pass, no copy; raises first when ||x||^2 overflows
-    norm_x_sq = norm_x * norm_x
-    scale = norm_x if norm_x > 0 else 1.0
-    # G = X(1)^T X(1), no larger than the data once N >= M*K; rows (j, k) as X(1)'s columns
-    gram = (x1.T @ x1).reshape(-1, m, k) if n >= m * k else None
-
-    if gram is None:
-        u2, u3 = (_top_left_vectors(unfold(t, mode), rank) for mode, rank in ((2, l2), (3, l3)))
-    else:
-        # the Grams of unfold(t, 2) and unfold(t, 3) are partial traces of G
-        g4 = gram.reshape(m, k, m, k)
-        u2 = _top_left_vectors(lambda: unfold(t, 2), l2, np.trace(g4, axis1=1, axis2=3))
-        u3 = _top_left_vectors(lambda: unfold(t, 3), l3, np.trace(g4, axis1=0, axis2=2))
-
-    def lift(w2, w3) -> np.ndarray:
-        """U1 from the data: the top-l1 left singular vectors of X(1) W, W from w2 and w3."""
-        return _top_left_vectors(_contracted(x, None, w2, w3, mode=1), l1)
-
-    def factor_change(moved: float, w, previous_w) -> float:
-        """moved, the U2/U3 change, or once that passes factor_tol the U1 lift's change too."""
-        if moved < factor_tol:
-            # the U1 lift reads the data: it is taken only once U2 and U3 pass
-            moved = max(moved, float(np.max(np.abs(lift(*w) - lift(*previous_w)))))
-        return moved
-
-    def residual(core_sq: float, approx) -> float:
-        # orthonormal factors + projected core: ||resid||^2 = ||x||^2 - ||core||^2; where
-        # cancellation would dominate, subtract approx(), the model, from the data
-        r2 = norm_x_sq - core_sq
-        if not np.isfinite(r2):
-            raise FloatingPointError("non-finite values during HOOI iteration")
-        if r2 > (1e-6 * scale) ** 2:
-            return float(np.sqrt(r2))
-        err = float(np.linalg.norm((x - approx()).ravel()))
-        if not np.isfinite(err):
-            raise FloatingPointError("non-finite values during HOOI iteration")
-        return err
-
-    @functools.cache
-    def trust_data() -> tuple[np.ndarray, np.ndarray]:
-        """The trust region's R (R^T R = G) and its C-ordered copy with modes 2 and 3 swapped.
-
-        Formed once, when the trust region first starts: R is the Cholesky
-        factor of G, the R of a QR of X(1) where G is not numerically positive
-        definite (M*K rows either way), and X(1) itself where there is no G.
-        """
-        r = x
-        if gram is not None:
-            try:
-                r = np.ascontiguousarray(np.linalg.cholesky(gram.reshape(m * k, m * k)).T)
-            except np.linalg.LinAlgError:
-                r = np.linalg.qr(x1, mode="r")
-            r = r.reshape(-1, m, k)
-        return r, np.ascontiguousarray(r.transpose(0, 2, 1))
-
-    def sweep(in2, in3):
-        """One plain sweep from (in2, in3): the new U2 and U3, the new model's residual, and
-        a thunk for the residual of (in2, in3) with their optimal U1."""
-        top = None
-        if gram is not None:
-            # P = (U2 kron U3) G, so A^T A = P (U2 kron U3)^T for A = X(1) (U2 kron U3)^T
-            p = _contracted(gram, None, in2, in3, mode=1).T
-            top = _top_eigenpairs(_contracted(p.reshape(-1, m, k), None, in2, in3, mode=1), l1)
-        if top is None:
-            s1 = _top_left_vectors(_contracted(x, None, in2, in3, mode=1), l1)
-            z, v1 = s1 @ x1, lambda: s1
-        else:
-            # V1 = Lambda^-1/2 W_A^T A^T, so Z = V1 X(1) = Lambda^-1/2 W_A^T P without V1
-            coef = top[1] / np.sqrt(top[0])
-            z, v1 = coef.T @ p, lambda: (_contracted(x, None, in2, in3, mode=1) @ coef).T
-        # Z already carries the mode-1 factor: None skips it
-        z = z.reshape(l1, m, k)
-
-        def before() -> float:
-            core_in = _contracted(z, None, in2, in3, mode=1).reshape(l1, l3, l2)
-            return residual(float(np.vdot(core_in, core_in)), lambda: np.einsum(
-                "acb,ai,bj,ck->ijk", core_in, v1(), in2, in3, optimize=True))
-
-        s2 = _top_left_vectors(_contracted(z, None, in2, in3, mode=2), l2)
-        contracted3 = _contracted(z, None, s2, in3, mode=3)
-        s3 = _top_left_vectors(contracted3, l3)
-        core = (s3 @ contracted3).reshape(l3, l2, l1)
-        return s2, s3, residual(float(np.vdot(core, core)), lambda: np.einsum(
-            "cba,ai,bj,ck->ijk", core, v1(), s2, s3, optimize=True)), before
-
-    history = []
-    # the W that V1 came from: the start's U1 is the optimal one for its U2 and U3
-    w = (u2, u3)
-    point = None  # the trust region's current point, once it has taken over
-    radius = TR_RADIUS
-    sweeps = newton_steps = 0
+    sweeper = _Sweeper(t, ranks, factor_tol)
+    # w is the W that V1 came from: the start's U1 is the optimal one for its U2 and U3
+    u2, u3 = w = sweeper.start()
+    point, radius, newton_steps = None, TR_RADIUS, 0  # point: the trust region's, once it runs
     moved = gradient_norm = None
-    stop_reason = "max_iter"
     for _ in range(max_iter):
-        if point is not None:
-            noise = 1e3 * np.finfo(float).eps * abs(point.f)  # rounding level of f and its gradient
-            step, predicted = _truncated_cg(point, radius, noise)
-            step2, step3 = point.split(step)
-            trial = _CoreNorm(*trust_data(), _retract(u2, step2), _retract(u3, step3), l1)
-            rho = (trial.f - point.f + noise) / (predicted + noise)
-            if rho < 0.25:
-                radius /= 4
-            elif rho > 0.75 and np.linalg.norm(step) >= 0.99 * radius:
-                radius = min(2 * radius, TR_RADIUS)
-            if not rho > 0.1:
+        if point is None:
+            previous_w, w = w, (u2, u3)
+            u2, u3 = sweeper.sweep(*w)
+            history = sweeper.history
+            if not abs(history[-2] - history[-1]) / sweeper.scale < tol:
+                continue
+            change = max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), w))
+            moved = sweeper.factor_change(change, w, previous_w)
+        else:
+            trial, change, radius = _trust_region_step(sweeper, point, radius)
+            if trial is None:
                 continue
             newton_steps += 1
-            moved = factor_change(float(np.max(np.abs(step))), (trial.u2, trial.u3), (u2, u3))
-            u2, u3, point = trial.u2, trial.u3, trial
+            moved = sweeper.factor_change(change, (trial.u2, trial.u3), (u2, u3))
+            point, (u2, u3) = trial, (trial.u2, trial.u3)
             w = (u2, u3)  # V1 is the point's own optimal U1
             gradient_norm = float(np.linalg.norm(point.grad))
-            if moved < factor_tol:
-                stop_reason = "factor_tol"
-                break
-            if point.degenerate:
-                point = None
-            continue
-        previous_w, w = w, (u2, u3)
-        u2, u3, err, before = sweep(*w)
-        if not history:
-            history.append(before())
-        sweeps += 1
-        history.append(err)
-        if abs(history[-2] - history[-1]) / scale < tol:
-            moved = factor_change(max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), w)),
-                                  w, previous_w)
-            if moved < factor_tol:
-                stop_reason = "factor_tol"
-                break
-            point = _CoreNorm(*trust_data(), u2, u3, l1)
-            if point.degenerate:
-                point = None
+        if moved < factor_tol:
+            break
+        if point is None:
+            point = _CoreNorm(*sweeper.trust_data, u2, u3, ranks[0])
+        if point.degenerate:
+            point = None
 
     if w[0] is u2:
         # the last iterate is the trust region's: one sweep puts U2 and U3 in the sweeps' basis
-        u2, u3, err, _ = sweep(u2, u3)
-        sweeps += 1
-        history.append(err)
-    u1 = lift(*w)
-    core = _folding(u1 @ _contracted(x, u1, u2, u3, mode=1), 1, ranks)
-    model = TuckerModel(core=core, u1=u1, u2=u2, u3=u3)
-    report = FitReport(
-        sweeps=sweeps,
-        residual_history=np.array(history),
-        converged=stop_reason != "max_iter",
-        stop_reason=stop_reason,
-        newton_steps=newton_steps,
-        final_factor_change=moved,
-        final_gradient_norm=gradient_norm,
-    )
-    return model, report
-
-
-def _least_squares_core(x: np.ndarray, u1, u2, u3) -> np.ndarray:
-    """The data contracted with each factor's core-solve map, folded to the core's shape."""
-    p = [_core_factor(u) for u in (u1, u2, u3)]
-    return _folding(p[2] @ _contracted(x, *p, 3), 3, [u.shape[0] for u in p])
+        u2, u3 = sweeper.sweep(u2, u3)
+    u1 = sweeper.lift(*w)
+    core = _folding(u1 @ _contracted(t.values, u1, u2, u3, mode=1), 1, ranks)
+    converged = moved is not None and moved < factor_tol
+    report = FitReport(sweeps=len(sweeper.history) - 1, residual_history=np.array(sweeper.history),
+                       converged=converged, stop_reason="factor_tol" if converged else "max_iter",
+                       newton_steps=newton_steps, final_factor_change=moved,
+                       final_gradient_norm=gradient_norm)
+    return TuckerModel(core=core, u1=u1, u2=u2, u3=u3), report
 
 
 def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
@@ -644,7 +648,8 @@ def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) 
     row-orthonormal factors give the projected core
     G[a,b,c] = sum_{ijk} u1[a,i] u2[b,j] u3[c,k] x[i,j,k].
     """
-    return _least_squares_core(t.values, u1, u2, u3)
+    factors = (u1, u2, u3)
+    return _folding(_core_factor(u3) @ _core_data(t.values, factors, 3), 3, [u.shape[0] for u in factors])
 
 
 def _check_dims(t: Tensor3, model: TuckerModel) -> None:
@@ -756,20 +761,13 @@ def btud_fit(
     x = t.values
     x_sq = linalg._sum_of_squares(x)
 
-    def current_model() -> TuckerModel:
-        return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
-
-    def residual(y3) -> tuple[float, float]:  # norm and noise precision; y3 from u1 and u2
-        return _residual(t, x_sq, current_model(), y3)
-
-    norm, beta = residual(_contracted(x, *factors, 3))
+    norm, beta = _residual(t, x_sq, init, _contracted(x, *factors, 3))
     history = [norm]
     for sweeps in range(1, max_sweeps + 1):
         before = [u.copy() for u in factors]
         for mode in (1, 2, 3):
             y = _contracted(x, *factors, mode)
-            p = [_core_factor(u) for u in factors]  # the core solve's maps, as in core_regression
-            y_core = y if all(a is b for a, b in zip(p, factors)) else _contracted(x, *p, mode)
+            y_core = _core_data(x, factors, mode, y)
             root = _kron_root(factors, mode)
             u = factors[mode - 1]
             for comp in range(u.shape[0]):
@@ -782,8 +780,9 @@ def btud_fit(
                     raise DegenerateComponentError(mode, comp) from exc
                 u = factors[mode - 1]
                 core = _folding(_core_factor(u) @ y_core, mode, core.shape)
+        model = TuckerModel(core, *factors)
         # mode 3's Y: it holds the final u1 and u2, and u3 does not enter it
-        norm, beta = residual(y)
+        norm, beta = _residual(t, x_sq, model, y)
         history.append(norm)
         moved = max(float(np.max(np.abs(a - b))) for a, b in zip(factors, before))
         converged = moved < tol
@@ -797,7 +796,7 @@ def btud_fit(
         stop_reason="factor_tol" if converged else "max_iter",
         final_factor_change=moved,
     )
-    return current_model(), beta, report
+    return model, beta, report
 
 
 def self_consistency_check(
@@ -825,11 +824,8 @@ def self_consistency_check(
         m = _mode_posterior(y, model, mode, alpha, beta)[0]
         m *= np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)[:, None]
         deviations.append(float(np.max(np.abs(u - m))))
-    # as _least_squares_core, whose contraction is the last y, Y(3), where every factor
-    # is its own map
-    p = [_core_factor(u) for u in factors]
-    y3 = y if all(a is b for a, b in zip(p, factors)) else _contracted(t.values, *p, 3)
-    core = _folding(p[2] @ y3, 3, [u.shape[0] for u in p])
+    # as core_regression, from the last y, Y(3), where every factor is its own map
+    core = _folding(_core_factor(model.u3) @ _core_data(t.values, factors, 3, y), 3, model.ranks)
     core_dev = float(np.max(np.abs(model.core - core)))
     return ConsistencyCheck(self_consistent=bool(max(*deviations, core_dev) <= tol),
                             mode_deviations=np.array(deviations), core_deviation=core_dev, tol=tol)

@@ -781,6 +781,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_lapack_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # np.linalg.LinAlgError subclasses ValueError, the usage error: a fit whose eigensolver
+        # does not converge must still end as degeneracy, with one line
+        tensor.write_tensor(tensor.Tensor3(np.random.default_rng(0).normal(size=(10, 4, 4))),
+                            tmp_path / "x.txt")
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(decomp, "hooi", boom)
+        code = main(["decompose", "--ranks", "2,2,2", "--data", str(tmp_path / "x.txt"),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+
     @pytest.mark.parametrize("mode", ["btud", "td"])
     @pytest.mark.parametrize("case", ["entry", "scaled", "sum"])
     def test_overflowing_matrix_exit_3(self, tmp_path, capsys, case, mode):

@@ -463,6 +463,47 @@ class TestCoreNorm:
         assert np.linalg.norm(point.hessian(vertical)) <= 1e-10 * np.linalg.norm(hess_xi)
 
 
+class TestTrustRegionStep:
+    """The trust region's acceptance and radius rule, with the CG step and the trial's f stubbed.
+
+    Each ratio sits on both sides of its threshold, so moving any of 0.1, 0.25, 0.75 or the
+    boundary's 0.99 by more than 1e-4 fails a case.
+    """
+
+    @pytest.mark.parametrize("rho, length, radius, kept, new_radius", [
+        (0.0999, 1.0, 0.5, False, 0.125),  # rho <= 0.1: rejected, the radius quartered
+        (0.1001, 1.0, 0.5, True, 0.125),  # 0.1 < rho < 0.25: kept, the radius quartered
+        (0.2499, 1.0, 0.5, True, 0.125),
+        (0.2501, 1.0, 0.5, True, 0.5),  # 0.25 <= rho <= 0.75: the radius unchanged
+        (0.7499, 1.0, 0.5, True, 0.5),
+        (0.7501, 1.0, 0.25, True, 0.5),  # rho > 0.75 at the boundary: doubled ...
+        (0.7501, 1.0, decomp.TR_RADIUS, True, decomp.TR_RADIUS),  # ... up to TR_RADIUS
+        (0.9, 0.9901, 0.25, True, 0.5),  # the boundary is any step of at least 0.99 radius
+        (0.9, 0.9899, 0.25, True, 0.25),  # inside it: the radius unchanged
+    ])
+    def test_ratio_and_radius_rule(self, monkeypatch, rho, length, radius, kept, new_radius):
+        t = random_tensor((40, 4, 3), seed=60)
+        sweeper = decomp._Sweeper(t, (2, 2, 2), DEFAULT_FACTOR_TOL)
+        point = _CoreNorm(*sweeper.trust_data, *sweeper.start(), 2)
+        step = length * radius * point.grad / np.linalg.norm(point.grad)
+        predicted = 1.0
+        noise = 1e3 * np.finfo(float).eps * point.f  # the offset the ratio carries
+
+        class Trial:
+            def __init__(self, work, swapped, u2, u3, l1):
+                self.u2, self.u3 = u2, u3
+                self.f = point.f + rho * (predicted + noise) - noise
+
+        monkeypatch.setattr(decomp, "_truncated_cg", lambda *args: (step, predicted))
+        monkeypatch.setattr(decomp, "_CoreNorm", Trial)
+        trial, change, radius = decomp._trust_region_step(sweeper, point, radius)
+        assert (trial is not None) == kept and radius == new_radius
+        assert change == np.max(np.abs(step))
+        if kept:
+            want = [decomp._retract(u, xi) for u, xi in zip((point.u2, point.u3), point.split(step))]
+            assert np.array_equal(trial.u2, want[0]) and np.array_equal(trial.u3, want[1])
+
+
 # Fits the preset's seeds 1000 and 1001 and saves their factors to the .npz file named by argv[1].
 PRESET_FACTORS_SCRIPT = """
 import sys
