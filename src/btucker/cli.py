@@ -524,6 +524,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # the usual cause is a configured size that cannot be allocated
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}; "
+              "is a configured size too large?", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

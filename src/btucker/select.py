@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammainccinv
 
 from . import decomp, linalg
 from .errors import (
@@ -35,6 +35,9 @@ DEFAULT_EXCLUSION_THRESHOLD = 0.01
 # sample SD of the selected components' loadings.
 SIGMA_GRID_POINTS = 101
 SIGMA_GRID_RANGE = (0.2, 5.0)
+# Relative half-width of the band around each threshold of the null-SD search
+# inside which a feature is re-evaluated by the plain rule (see _sigma_objectives).
+_SIGMA_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,30 +147,116 @@ def optimize_sigma(u: np.ndarray, components) -> SigmaFit:
     rest of the 1 - P values are histogrammed into DEFAULT_BINS equal-width
     cells on [0, 1], and the SD of the occupancies is the objective.  Ties go
     to the smaller candidate.
+
+    The search sorts the features once, by s = sum_l u_l^2, and computes no
+    P-value: at a candidate sigma, P <= y is s >= sigma^2 * 2 Q^-1(d/2, y),
+    with Q^-1 the inverse regularized upper incomplete gamma, so the BH cuts
+    (y = j q / m) give the excluded count and the bin edges (y = 1 - b / B)
+    give the occupancies by counting sorted s (see :func:`_sigma_objectives`).
+    A feature within the relative band _SIGMA_BAND of a threshold is binned
+    by the plain rule instead, from its own (u / sigma)^2 and chi2_sf, and a
+    candidate whose excluded count is within the band is evaluated by the
+    plain rule whole; so every objective, hence sigma, is bitwise that of
+    binning each candidate's P-values with np.histogram.
     """
     u = np.asarray(u, dtype=np.float64)
     comps = _component_indices(components, u.shape[0])
+    grid = _sigma_grid(u, comps)
+    objectives = _sigma_objectives(u, comps, grid)
+    best = int(np.argmin(objectives))  # the first minimum: ties keep the smaller candidate
+    if not np.isfinite(objectives[best]):
+        raise SigmaOptimizationError("every candidate SD excluded all features")
+    return SigmaFit(sigma=float(grid[best]), sigma_h=float(objectives[best]))
+
+
+def _sigma_grid(u: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """The candidate null SDs of :func:`optimize_sigma`, ascending."""
     pooled = u[comps - 1].ravel()
     scale = float(np.std(pooled, ddof=1)) if pooled.size > 1 else float(np.abs(pooled[0]))
     if not np.isfinite(scale) or scale <= 0:
         raise SigmaOptimizationError("loadings have no spread; cannot calibrate a null SD")
-    grid = scale * np.geomspace(SIGMA_GRID_RANGE[0], SIGMA_GRID_RANGE[1], SIGMA_GRID_POINTS)
+    return scale * np.geomspace(SIGMA_GRID_RANGE[0], SIGMA_GRID_RANGE[1], SIGMA_GRID_POINTS)
 
-    best_sigma = None
-    best_obj = np.inf
-    for cand in grid:
-        p = td_pvalues(u, cand, comps)
-        keep = bh_adjust(p) > DEFAULT_EXCLUSION_THRESHOLD
-        if not np.any(keep):
+
+def _occupancy_sd(h: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((h - h.mean()) ** 2)))
+
+
+def _plain_sigma_objective(u: np.ndarray, sigma: float, comps: np.ndarray) -> float:
+    """The objective at one candidate from all its P-values; inf if it excludes every feature."""
+    p = td_pvalues(u, sigma, comps)
+    keep = bh_adjust(p) > DEFAULT_EXCLUSION_THRESHOLD
+    if not np.any(keep):
+        return np.inf
+    h, _ = np.histogram(1.0 - p[keep], bins=DEFAULT_BINS, range=(0.0, 1.0))
+    return _occupancy_sd(h)
+
+
+def _sigma_objectives(u: np.ndarray, comps: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The objective of :func:`optimize_sigma` at every candidate of `grid`, inf where it excludes all.
+
+    With d = comps.size, m features, and s the features' sums of squared
+    loadings over grid[-1] (so s / v, v = (sigma / grid[-1])^2, is the
+    chi-square statistic at sigma), sorted once ascending:
+
+    - BH excludes the k* features of largest s, k* the last rank j (by
+      descending s) with s_(j) >= v c_j, c_j = 2 Q^-1(d/2, j q / m).  So
+      m - k* is the number of ascending positions whose running maximum of
+      s_(j) / c_j is below v: one searchsorted per candidate.
+    - Among the kept features, 1 - P >= e_b (edges e_b = b / B, as
+      np.histogram's) is s >= v t_b, t_b = 2 Q^-1(d/2, 1 - e_b): each bin's
+      count is a difference of two searchsorted positions.
+
+    Rounding makes these comparisons approximate: s / v is the statistic
+    (u / sigma)^2 summed, to within (2d + 6) units of 2^-53 relative, and
+    Q^-1 inverts gammaincc to within about 2e-14 relative in the statistic
+    (tests/test_select.py checks that half the band clears every cut and
+    edge for d = 1..4).  Each threshold is therefore widened by the relative band _SIGMA_BAND = 1e-9.
+    Half of it moves P by at least 2.5e-12 at a bin edge (least at the first
+    edge with d = 1) and by at least 1.8e-9 relative at a BH cut, far above
+    the rounding of P, of 1 - P and of BH's P m / j; the other half covers
+    the rounding of s / v.  Outside the band a comparison is exact; a kept feature inside
+    it is binned from its own P (td_statistic, chi2_sf, 1 - P against e_b),
+    and a candidate whose BH count is inside it is evaluated whole by the
+    plain rule.  The temporaries are O(m) once and O(DEFAULT_BINS) per
+    candidate.
+    """
+    m = u.shape[1]
+    half_dof = comps.size / 2.0
+    ref = float(grid[-1])
+    s = np.sum((u[comps - 1] / ref) ** 2, axis=0)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    # reach[i] = max over ascending positions <= i of s / c, c the cut of that position's rank
+    reach = s / (2.0 * gammainccinv(half_dof, DEFAULT_EXCLUSION_THRESHOLD * np.arange(m, 0, -1) / m))
+    np.maximum.accumulate(reach, out=reach)
+    edges = np.linspace(0.0, 1.0, DEFAULT_BINS + 1)
+    levels = 2.0 * gammainccinv(half_dof, 1.0 - edges[:-1])  # levels[0] is 0: every row
+    band = np.array([1.0 - _SIGMA_BAND, 1.0 + _SIGMA_BAND])
+
+    out = np.full(grid.size, np.inf)
+    for i, cand in enumerate(grid):
+        v = (cand / ref) ** 2
+        kept_lo, kept_hi = np.searchsorted(reach, v * band)
+        if kept_lo != kept_hi:
+            out[i] = _plain_sigma_objective(u, cand, comps)
             continue
-        h, _ = np.histogram(1.0 - p[keep], bins=DEFAULT_BINS, range=(0.0, 1.0))
-        obj = float(np.sqrt(np.mean((h - h.mean()) ** 2)))
-        if obj < best_obj:  # strict: ties keep the earlier (smaller) candidate
-            best_obj = obj
-            best_sigma = float(cand)
-    if best_sigma is None:
-        raise SigmaOptimizationError("every candidate SD excluded all features")
-    return SigmaFit(sigma=best_sigma, sigma_h=best_obj)
+        if kept_lo == 0:
+            continue
+        kept = s[:kept_lo]
+        lo, hi = np.searchsorted(kept, np.multiply.outer(band, v * levels))
+        above = kept_lo - hi  # kept rows with 1 - P >= e_b for certain
+        near = np.flatnonzero(lo != hi)
+        if near.size:
+            stat = td_statistic(u, cand, comps)
+            for b in near:
+                x = 1.0 - chi2_sf(stat[order[lo[b]:hi[b]]], comps.size)
+                above[b] += np.count_nonzero(x >= edges[b])
+        # occupancy of bin b: at or above e_b less at or above e_(b+1); the last bin is
+        # closed, as np.histogram's, so it keeps 1 - P = 1
+        above[:-1] -= above[1:]
+        out[i] = _occupancy_sd(above)
+    return out
 
 
 def rank_components_by_core(core: np.ndarray, fixed: dict) -> list[tuple[int, float]]:

@@ -7,7 +7,8 @@ the residual of the reconstructed model (:func:`reference_residual`).
 reference_text_file is the per-value text writer that btucker.tensor's block
 writer must match byte for byte; reference_coupling_matrix draws the coupled
 maps' coupling rows one new generator at a time; reference_matrix_report plots
-a matrix run from the SVD of its re-read data.
+a matrix run from the SVD of its re-read data; reference_sigma_objectives is the
+null-SD search as a plain loop over every candidate's P-values.
 """
 
 from pathlib import Path
@@ -190,6 +191,25 @@ def reference_matrix_posterior(x, rank):
     resid = x - (res.U * res.s) @ res.V.T
     beta = x.size / float(np.sum(resid * resid))
     return pseudoinverse(phi) @ x.T, pseudoinverse(beta * (phi.T @ phi))
+
+
+def reference_sigma_objectives(u, components, grid) -> np.ndarray:
+    """The null-SD search's objective at every candidate of `grid`; inf where BH excludes all.
+
+    Every candidate's P-values are computed, BH-adjusted and binned by np.histogram.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    comps = np.array(sorted(set(int(c) for c in components)))
+    objectives = []
+    for cand in grid:
+        p = select.td_pvalues(u, cand, comps)
+        keep = select.bh_adjust(p) > select.DEFAULT_EXCLUSION_THRESHOLD
+        if not np.any(keep):
+            objectives.append(np.inf)
+            continue
+        h, _ = np.histogram(1.0 - p[keep], bins=select.DEFAULT_BINS, range=(0.0, 1.0))
+        objectives.append(float(np.sqrt(np.mean((h - h.mean()) ** 2))))
+    return np.array(objectives)
 
 
 def reference_text_file(header: str, flat) -> bytes:

@@ -567,7 +567,7 @@ class TestReport:
     def test_matrix_report_csvs(self, tmp_path):
         cfg = tmp_path / "sin.json"
         cfg.write_text(json.dumps(
-            {"generator": {"N": 200, "M": 18, "N1": 40}, "seed": 6}))
+            {"generator": {"N": 500, "M": 50, "N1": 50}, "seed": 2}))
         out = tmp_path / "run"
         main(["generate", "--experiment", "sinusoid", "--config", str(cfg),
               "--out-dir", str(out)])
@@ -579,7 +579,11 @@ class TestReport:
         assert open(out / "u1u2_scatter.csv").readline().strip() == \
             "feature_index,u1i,u2i,truth,selected"
         assert open(out / "uj_series.csv").readline().strip() == "j,u1j,u2j"
-        assert open(out / "selected_rows.csv").readline().strip() == "feature_index"
+        selected = select.read_selection_csv(out / "selection.csv").selected
+        for name, marked in (("selected_rows.csv", selected), ("unselected_rows.csv", ~selected)):
+            with open(out / name, newline="") as fh:
+                rows = [int(row["feature_index"]) for row in csv.DictReader(fh)]
+            assert rows and rows == (np.flatnonzero(marked) + 1).tolist()
 
     def test_gcm_report_plots_the_scored_factors(self, tmp_path):
         # the td route scores the column-standardized matrix, so the report plots its SVD
@@ -795,6 +799,21 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+    def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch, message):
+        # a configured size too large to allocate ends as a usage error, in one line
+        from btucker import cli
+
+        def boom(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_generate", boom)
+        code = main(["generate", "--experiment", "rcs-gcm", "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["btud", "td"])
     @pytest.mark.parametrize("case", ["entry", "scaled", "sum"])

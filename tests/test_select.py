@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainccinv
 
 from btucker import linalg
 from btucker.errors import DegenerateVarianceError, SigmaOptimizationError
 from btucker.select import (
+    _SIGMA_BAND,
     DEFAULT_BINS,
+    DEFAULT_EXCLUSION_THRESHOLD,
+    _sigma_grid,
+    _sigma_objectives,
     bh_adjust,
     btud_statistic,
     chi2_sf,
@@ -19,7 +24,7 @@ from btucker.select import (
     td_statistic,
     write_selection_csv,
 )
-from oracles import reference_matrix_posterior
+from oracles import reference_matrix_posterior, reference_sigma_objectives
 
 
 def bh_oracle(p):
@@ -199,6 +204,85 @@ class TestOptimizeSigma:
         u = np.ones((1, 100))
         with pytest.raises(SigmaOptimizationError):
             optimize_sigma(u, [1])
+
+    def test_every_candidate_excluding_all_fails(self):
+        # loadings far from zero against their spread: BH excludes every row at every candidate
+        u = 1000.0 + np.random.default_rng(62).normal(size=(1, 300))
+        assert np.all(np.isinf(reference_sigma_objectives(u, [1], _sigma_grid(u, np.array([1])))))
+        with pytest.raises(SigmaOptimizationError, match="excluded all features"):
+            optimize_sigma(u, [1])
+
+    @pytest.mark.parametrize("components", [(1,), (1, 2)])
+    @pytest.mark.parametrize("spiked", [False, True])
+    def test_objectives_match_the_plain_loop(self, components, spiked):
+        rng = np.random.default_rng(63 + len(components) + 2 * spiked)
+        u = rng.normal(size=(3, 2000))
+        if spiked:
+            u[:, :200] *= 4.0  # a signal in 10% of the rows
+        comps = np.array(components)
+        grid = _sigma_grid(u, comps)
+        expected = reference_sigma_objectives(u, comps, grid)
+        assert np.array_equal(_sigma_objectives(u, comps, grid), expected)
+        fit = optimize_sigma(u, components)
+        assert fit.sigma == grid[np.argmin(expected)]
+        assert fit.sigma_h == np.min(expected)
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_rows_on_the_bin_edges(self, dof):
+        # one row exactly on each edge of 1 - P at candidate 50: inside the band, binned by P
+        rng = np.random.default_rng(64)
+        u = rng.normal(size=(dof, 1000))
+        comps = np.arange(1, dof + 1)
+        grid = _sigma_grid(u, comps)
+        edges = np.linspace(0.0, 1.0, DEFAULT_BINS + 1)[1:-1]
+        levels = 2.0 * gammainccinv(dof / 2.0, 1.0 - edges)
+        u[:, : edges.size] = grid[50] * np.sqrt(levels / dof)
+        stat = td_statistic(u[:, : edges.size], grid[50], comps)
+        assert np.all(np.abs(stat / levels - 1.0) < _SIGMA_BAND / 2)
+        x = 1.0 - chi2_sf(stat, dof)
+        assert np.any(x < edges) and np.any(x >= edges)  # both sides of an edge occur
+        assert np.array_equal(_sigma_objectives(u, comps, grid),
+                              reference_sigma_objectives(u, comps, grid))
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_row_on_a_bh_cut(self, dof):
+        # at candidate 50 rows 1..6 lie well past their cuts and row 7 exactly on its own,
+        # so whether BH excludes 6 or 7 rows is decided inside the band
+        rng = np.random.default_rng(65)
+        m, j = 400, 7
+        comps = np.arange(1, dof + 1)
+        grid = _sigma_grid(rng.normal(size=(dof, m)), comps)
+        u = 0.01 * rng.normal(size=(dof, m))
+        cuts = 2.0 * gammainccinv(dof / 2.0, DEFAULT_EXCLUSION_THRESHOLD * np.arange(1, j + 1) / m)
+        u[:, :j] = grid[50] * np.sqrt(cuts * np.array([3.0] * (j - 1) + [1.0]) / dof)
+        stat = td_statistic(u[:, j - 1 : j], grid[50], comps)[0]
+        assert abs(stat / cuts[-1] - 1.0) < _SIGMA_BAND / 2
+        assert np.array_equal(_sigma_objectives(u, comps, grid),
+                              reference_sigma_objectives(u, comps, grid))
+
+    def test_candidate_excluding_every_feature(self):
+        # loadings around 6 with unit spread: the small candidates exclude every row
+        u = 6.0 + np.random.default_rng(66).normal(size=(1, 500))
+        grid = _sigma_grid(u, np.array([1]))
+        expected = reference_sigma_objectives(u, [1], grid)
+        assert np.isinf(expected[0]) and np.isfinite(expected[-1])
+        assert np.array_equal(_sigma_objectives(u, np.array([1]), grid), expected)
+        assert optimize_sigma(u, [1]).sigma == grid[np.argmin(expected)]
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4])
+    def test_band_covers_the_quantile_rounding(self, dof):
+        # half the band from each threshold, P is already on the threshold's far side:
+        # the other half covers the rounding of s / sigma^2 against (u / sigma)^2
+        inner, outer = 1.0 - _SIGMA_BAND / 2, 1.0 + _SIGMA_BAND / 2
+        edges = np.linspace(0.0, 1.0, DEFAULT_BINS + 1)[1:-1]
+        levels = 2.0 * gammainccinv(dof / 2.0, 1.0 - edges)
+        assert np.all(1.0 - chi2_sf(levels * inner, dof) < edges)
+        assert np.all(1.0 - chi2_sf(levels * outer, dof) >= edges)
+        for m in (1, 37, 20000):
+            rank = np.arange(1, m + 1)
+            cuts = 2.0 * gammainccinv(dof / 2.0, DEFAULT_EXCLUSION_THRESHOLD * rank / m)
+            assert np.all(chi2_sf(cuts * inner, dof) * m / rank > DEFAULT_EXCLUSION_THRESHOLD)
+            assert np.all(chi2_sf(cuts * outer, dof) * m / rank <= DEFAULT_EXCLUSION_THRESHOLD)
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(57)
