@@ -1,9 +1,10 @@
 """Bayesian Tucker decomposition of order-3 tensors with unsupervised feature selection.
 
-Modules: :mod:`btucker.tensor` (storage/unfolding), :mod:`btucker.linalg`
-(SVD, regularized Gram inverse, Gram-Schmidt), :mod:`btucker.decomp` (HOOI, the
-alternating-regression solver, posterior statistics), :mod:`btucker.select`
-(chi-square feature statistics, BH correction), :mod:`btucker.datagen`
+Modules: :mod:`btucker.tensor` (storage/unfolding, file formats), :mod:`btucker.linalg`
+(SVD, regularized Gram inverse, Gram-Schmidt, the noise floor), :mod:`btucker.decomp`
+(HOOI, the alternating-regression solver, posterior statistics, the self-consistency
+certificate), :mod:`btucker.select` (chi-square feature statistics, BH correction,
+matrix selection by :func:`~btucker.select.svd_select`), :mod:`btucker.datagen`
 (seeded benchmark generators), :mod:`btucker.cli` (command-line front end).
 """
 
@@ -21,7 +22,6 @@ from .decomp import (
     btud_fit,
     estimate_beta,
     hooi,
-    hosvd_init,
     posterior_stats,
     self_consistency_check,
 )
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor3", "svd",
     "TuckerModel", "FitReport",
-    "hosvd_init", "hooi", "btud_fit", "estimate_beta",
+    "hooi", "btud_fit", "estimate_beta",
     "posterior_stats", "self_consistency_check",
     "SelectionResult", "chi2_sf", "bh_adjust", "btud_statistic",
     "rank_components_by_core", "svd_select", "select_features",

@@ -85,7 +85,7 @@ class ExperimentConfig:
     fixed_l2: tuple = ()              # by-core: mode-2 indices to scan (empty = all)
     fixed_l3: tuple = ()
     n_components: int = 1             # by-core: how many leading components to keep
-    threshold: float = 0.05
+    threshold: float = select.DEFAULT_THRESHOLD
     selection_mode: str = "btud"      # matrix data only
     ensembles: int = 1
     seed: int = 0
@@ -212,7 +212,14 @@ def generate_data(cfg: ExperimentConfig, seed: int):
 
 
 def decompose_tensor(t: tensor.Tensor3, cfg: ExperimentConfig):
-    """HOOI to its fixed point, then its certificate; returns (model, report, beta)."""
+    """HOOI to its fixed point, then its certificate; returns (model, report, beta).
+
+    All-zero data have numerical rank 0 in every mode, so no fit of any rank
+    can be certified: they raise NumericalDegeneracyError before the fit.
+    """
+    if not np.any(t.values):
+        raise NumericalDegeneracyError(
+            "the data are all zero (numerical rank 0 in every mode): nothing to decompose")
     model, report = decomp.hooi(t, cfg.ranks)
     beta = decomp.estimate_beta(t, model)
     # the fit, whatever cfg.alpha (selection's prior), is a fixed point of the alpha = 0 regression
@@ -247,11 +254,9 @@ def select_from_tensor(
 def select_from_matrix(
     x: np.ndarray, cfg: ExperimentConfig
 ) -> tuple[select.SelectionResult, linalg.SvdResult]:
-    """The selection, and the SVD it scored (see :func:`select.svd_select_factors`)."""
+    """The selection, and the SVD it scored (see :func:`select.svd_select`)."""
     components = choose_components(cfg, None)
-    return select.svd_select_factors(
-        x, components, mode=cfg.selection_mode, threshold=cfg.threshold
-    )
+    return select.svd_select(x, components, mode=cfg.selection_mode, threshold=cfg.threshold)
 
 
 def confusion_counts(selected: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:

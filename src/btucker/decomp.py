@@ -54,12 +54,11 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateComponentError, DegenerateRowError, FileFormatError
-from .linalg import BETA_CAP  # re-exported: the cap on every beta a fit reports
-from .tensor import (UNFOLD_AXES, Tensor3, _folding, _read_utf8, _unfolding, frobenius_norm,
-                     reconstruct, unfold, write_json)
+from .linalg import BETA_CAP, NOISE_FLOOR  # BETA_CAP re-exported: every fit's beta cap
+from .tensor import (UNFOLD_AXES, Tensor3, _check_mode, _folding, _read_utf8, _unfolding,
+                     frobenius_norm, reconstruct, unfold, write_json)
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
-NOISE_FLOOR = 1e-10        # squared singular values below this times the largest are noise
 RESIDUAL_CANCELLATION = 1e-2  # a residual of at most this share of ||x||^2 is formed explicitly
 
 DEFAULT_MAX_ITER = 20000
@@ -365,14 +364,6 @@ class _CoreNorm:
         return self._project(de2, de3) - np.concatenate((shift2.ravel(), shift3.ravel()))
 
 
-def hosvd_init(t: Tensor3, ranks) -> TuckerModel:
-    """Truncated HOSVD: factor m = leading left singular vectors of unfold(t, m)."""
-    ranks = _validate_ranks(t.dims, ranks)
-    factors = [_top_left_vectors(unfold(t, m), ranks[m - 1]) for m in (1, 2, 3)]
-    core = core_regression(t, *factors)
-    return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
-
-
 class _Sweeper:
     """hooi's plain sweeps and the data they read: X(1), ||x||, G and the trust region's R.
 
@@ -639,17 +630,19 @@ def hooi(
     return TuckerModel(core=core, u1=u1, u2=u2, u3=u3), report
 
 
-def core_regression(t: Tensor3, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
-    """Least-squares core for fixed factors.
+def _least_squares_core(x: np.ndarray, factors, y3: np.ndarray | None = None) -> np.ndarray:
+    """Least-squares core of the data array x for fixed factors (u1, u2, u3).
 
     The data are contracted with pinv(u_m)^T in every mode, which solves the
     regression of the vectorized tensor on the Kronecker design.  A factor
     whose rows are orthonormal to ORTHONORMALITY_TOL enters as itself, so
     row-orthonormal factors give the projected core
-    G[a,b,c] = sum_{ijk} u1[a,i] u2[b,j] u3[c,k] x[i,j,k].
+    G[a,b,c] = sum_{ijk} u1[a,i] u2[b,j] u3[c,k] x[i,j,k].  y3, the data's
+    Y(3) with the factors themselves, saves the contraction where every factor
+    enters as itself (:func:`_core_data`).
     """
-    factors = (u1, u2, u3)
-    return _folding(_core_factor(u3) @ _core_data(t.values, factors, 3), 3, [u.shape[0] for u in factors])
+    ranks = [u.shape[0] for u in factors]
+    return _folding(_core_factor(factors[2]) @ _core_data(x, factors, 3, y3), 3, ranks)
 
 
 def _check_dims(t: Tensor3, model: TuckerModel) -> None:
@@ -657,11 +650,15 @@ def _check_dims(t: Tensor3, model: TuckerModel) -> None:
         raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha <= sys.float_info.max:  # NaN fails, as in load_model
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def _check_posterior_args(t: Tensor3, model: TuckerModel, alpha: float, beta: float) -> None:
     if not 0 < beta <= sys.float_info.max:  # NaN fails, as in load_model
         raise ValueError(f"beta must be finite and > 0, got {beta}")
-    if not 0 <= alpha <= sys.float_info.max:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_alpha(alpha)
     _check_dims(t, model)
 
 
@@ -686,8 +683,7 @@ def posterior_stats(
     and cov = (alpha*I + beta*Phi^T Phi)^+ of shape (L, L); the mean is
     beta * cov @ Phi^T X^T, the least-squares solution at alpha = 0.
     """
-    if mode not in UNFOLD_AXES:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    _check_mode(mode)
     _check_posterior_args(t, model, alpha, beta)
     y = _contracted(t.values, model.u1, model.u2, model.u3, mode)
     return _mode_posterior(y, model, mode, alpha, beta)
@@ -749,12 +745,10 @@ def btud_fit(
     the final residual.  The report leaves self_consistent and
     max_mode_deviation None: :func:`self_consistency_check` certifies a fit.
     """
-    if not 0 <= alpha <= sys.float_info.max:  # NaN fails, as in load_model
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_alpha(alpha)
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if init.dims != t.dims:
-        raise ValueError(f"init dims {init.dims} do not match tensor dims {t.dims}")
+    _check_dims(t, init)
 
     factors = [init.u1.copy(), init.u2.copy(), init.u3.copy()]
     core = init.core.copy()
@@ -810,9 +804,9 @@ def self_consistency_check(
 
     Rows of each posterior mean (at `alpha` and `beta`) are sign-flipped
     toward the corresponding factor row first (the decomposition carries no
-    sign information).  The core is compared with :func:`core_regression` of
-    the model's factors, the core that :func:`hosvd_init`, :func:`hooi` and
-    :func:`btud_fit` return, so the core check does not depend on `alpha`.
+    sign information).  The core is compared with :func:`_least_squares_core`
+    of the model's factors, the core that :func:`hooi` and :func:`btud_fit`
+    return, so the core check does not depend on `alpha`.
     The model is accepted when every deviation is at most `tol`.
     """
     _check_posterior_args(t, model, alpha, beta)
@@ -824,8 +818,7 @@ def self_consistency_check(
         m = _mode_posterior(y, model, mode, alpha, beta)[0]
         m *= np.where(np.sum(m * u, axis=1) < 0, -1.0, 1.0)[:, None]
         deviations.append(float(np.max(np.abs(u - m))))
-    # as core_regression, from the last y, Y(3), where every factor is its own map
-    core = _folding(_core_factor(model.u3) @ _core_data(t.values, factors, 3, y), 3, model.ranks)
+    core = _least_squares_core(t.values, factors, y)  # the last y is Y(3)
     core_dev = float(np.max(np.abs(model.core - core)))
     return ConsistencyCheck(self_consistent=bool(max(*deviations, core_dev) <= tol),
                             mode_deviations=np.array(deviations), core_deviation=core_dev, tol=tol)

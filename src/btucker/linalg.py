@@ -15,6 +15,7 @@ from .errors import DegenerateRowError
 
 DEGENERATE_ROW_TOL = 1e-12
 BETA_CAP = 1e12  # largest reported noise precision, reached by near-exact fits
+NOISE_FLOOR = 1e-10  # squared singular values at or below this times the largest are noise
 
 
 @dataclass(frozen=True)

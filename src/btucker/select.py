@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
-from . import decomp, linalg
+from . import linalg
 from .errors import (
     DegenerateVarianceError,
     FileFormatError,
@@ -338,18 +338,8 @@ def scored_matrix(x: np.ndarray, mode: str) -> np.ndarray:
 
 def svd_select(
     x: np.ndarray, components, mode: str = "btud", threshold: float = DEFAULT_THRESHOLD
-) -> SelectionResult:
-    """Feature selection for matrix data (features are rows) through the SVD.
-
-    See :func:`svd_select_factors`, which also returns the SVD it scored.
-    """
-    return svd_select_factors(x, components, mode, threshold)[0]
-
-
-def svd_select_factors(
-    x: np.ndarray, components, mode: str = "btud", threshold: float = DEFAULT_THRESHOLD
 ) -> tuple[SelectionResult, linalg.SvdResult]:
-    """Matrix feature selection, and the SVD of the scored matrix at rank max(L, 2).
+    """Feature selection for matrix data (features are rows), and the SVD of the scored matrix.
 
     mode "td" standardizes every sample column across features (see
     :func:`standardize_columns`) and scores rows by the left-singular-vector
@@ -366,7 +356,7 @@ def svd_select_factors(
     beta the noise precision of the model's residual, as decomp's.
 
     On both routes a requested component whose squared singular value is at
-    or below decomp.NOISE_FLOOR times the largest is noise, not signal, and
+    or below linalg.NOISE_FLOOR times the largest is noise, not signal, and
     raises NoiseFloorError, a DegenerateVarianceError.  A matrix whose
     squared norm overflows float64 raises FloatingPointError before any of
     this, as in hooi.
@@ -388,7 +378,7 @@ def svd_select_factors(
     full = linalg.svd(x, rank=max(rank, 2))
     res = linalg.SvdResult(U=full.U[:, :rank], s=full.s[:rank], V=full.V[:, :rank])
     power = res.s**2
-    floor = decomp.NOISE_FLOOR * power[0]
+    floor = linalg.NOISE_FLOOR * power[0]
     for c in comps:
         if power[c - 1] <= floor:
             raise NoiseFloorError(int(c), float(power[c - 1]), float(floor))

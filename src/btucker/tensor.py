@@ -99,15 +99,6 @@ def unfold(t: Tensor3, mode: int) -> np.ndarray:
     return _unfolding(t.values, mode)
 
 
-def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> Tensor3:
-    """Exact inverse of :func:`unfold` for the given mode and target dims."""
-    _check_mode(mode)
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != dims[mode - 1] or m.size != math.prod(dims):
-        raise ValueError(f"matrix shape {m.shape} inconsistent with mode {mode} of dims {dims}")
-    return Tensor3(_folding(m, mode, dims))
-
-
 def reconstruct(model) -> Tensor3:
     """Assemble the tensor encoded by a Tucker model (core + one factor per mode).
 

@@ -4,6 +4,8 @@ Each reference_* function and design_matrix computes the textbook formula
 directly: full-tensor einsum contractions, the explicit (M*K, L) regression
 design, the SVD pseudoinverse with its own cutoff (:func:`pseudoinverse`) and
 the residual of the reconstructed model (:func:`reference_residual`).
+reference_hosvd is the exception: the truncated HOSVD that tests start their
+solvers from, built by btucker.decomp's own top-vector and core helpers.
 reference_text_file is the per-value text writer that btucker.tensor's block
 writer must match byte for byte; reference_coupling_matrix draws the coupled
 maps' coupling rows one new generator at a time; reference_matrix_report plots
@@ -16,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from btucker import datagen, linalg, select
-from btucker.decomp import ORTHONORMALITY_TOL, TuckerModel
+from btucker.decomp import (ORTHONORMALITY_TOL, TuckerModel, _least_squares_core,
+                            _top_left_vectors, _validate_ranks)
 from btucker.tensor import read_matrix, reconstruct, unfold
 
 # Relative singular-value cutoff for the pseudoinverse; values below
@@ -58,6 +61,14 @@ def design_matrix(model: TuckerModel, mode: int) -> np.ndarray:
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     return y.reshape(y.shape[0], -1).T
+
+
+def reference_hosvd(t, ranks):
+    """Truncated HOSVD: factor m = leading left singular vectors of unfold(t, m)."""
+    ranks = _validate_ranks(t.dims, ranks)
+    factors = [_top_left_vectors(unfold(t, m), ranks[m - 1]) for m in (1, 2, 3)]
+    core = _least_squares_core(t.values, factors)
+    return TuckerModel(core=core, u1=factors[0], u2=factors[1], u3=factors[2])
 
 
 def reference_top_vectors(y, rank):

@@ -13,7 +13,7 @@ from scipy.stats import spearmanr, ttest_ind
 
 from btucker import datagen, decomp, linalg, select
 from btucker.cli import build_config, confusion_counts, generate_data, select_from_matrix
-from btucker.tensor import Tensor3, fold, unfold
+from btucker.tensor import Tensor3, _folding, unfold
 
 FULL = os.environ.get("BTUCKER_ACCEPT_FULL", "0") not in ("", "0")
 
@@ -134,7 +134,7 @@ class TestSinusoidBenchmark:
             x, truth = datagen.gen_sinusoid(
                 datagen.SinusoidParams(seed=SINUSOID_SEED + e)
             )
-            result = select.svd_select(x, [1, 2], mode="btud", threshold=0.05)
+            result, _ = select.svd_select(x, [1, 2], mode="btud", threshold=0.05)
             rows.append(confusion_counts(result.selected, truth))
         rows = np.array(rows, dtype=float)
         tp, fp = rows[:, 3].mean(), rows[:, 2].mean()
@@ -206,7 +206,7 @@ class TestNumericalKernels:
         round_ok = True
         for mode in (1, 2, 3):
             t = Tensor3(rng.normal(size=(4, 5, 6)))
-            round_ok &= np.array_equal(fold(unfold(t, mode), mode, t.dims).values, t.values)
+            round_ok &= np.array_equal(_folding(unfold(t, mode), mode, t.dims), t.values)
         checks.append(("fold/unfold", round_ok))
 
         # HOOI residual monotone within 1e-7
@@ -232,7 +232,7 @@ class TestNumericalKernels:
                 q, _ = np.linalg.qr(rng.normal(size=(d, r)))
                 factors.append(q.T)
             data = Tensor3(rng.normal(size=dims))
-            fast = decomp.core_regression(data, *factors)
+            fast = decomp._least_squares_core(data.values, factors)
             a = np.kron(factors[2].T, np.kron(factors[1].T, factors[0].T))
             g, *_ = np.linalg.lstsq(a, data.values.ravel(order="F"), rcond=None)
             core_ok &= np.max(np.abs(fast - g.reshape(ranks, order="F"))) < 1e-9

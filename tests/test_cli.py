@@ -1,6 +1,8 @@
+import ast
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import pickle
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import btucker
 from btucker import datagen, decomp, linalg, select, tensor
 from btucker.cli import (
     ExperimentConfig,
@@ -128,6 +131,32 @@ class TestConfig:
         rows = table.splitlines()[2:]  # below the header and its rule
         listed = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
         assert sorted(listed) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+    def test_readme_layout_table_and_all_resolve(self):
+        # every backticked name in a Layout row is an attribute of that row's module
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("## Layout\n", 1)[1].strip().split("\n\n", 1)[0]
+        for row in table.splitlines()[2:]:  # below the header and its rule
+            _, module_cell, contents, _ = row.split("|")
+            module = importlib.import_module(re.fullmatch(r"\s*`(btucker\.\w+)`\s*", module_cell)[1])
+            names = re.findall(r"`([^`]*)`", contents)
+            assert names, row
+            for name in names:
+                assert hasattr(module, name), f"{module.__name__} has no {name!r}"
+        namespace = {}
+        exec("from btucker import *", namespace)  # raises where a name in __all__ is missing
+        assert set(btucker.__all__) <= set(namespace)
+
+    def test_select_does_not_import_decomp(self):
+        source = Path(select.__file__).read_text()
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        assert not [name for name in imported if "decomp" in name.split(".")]
 
 
 class TestGenerate:
@@ -784,6 +813,16 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_all_zero_tensor_exit_3(self, tmp_path, capsys):
+        # numerical rank 0 in every mode: no fit can be certified, so none is written
+        tensor.write_tensor(tensor.Tensor3(np.zeros((2, 2, 2))), tmp_path / "zero.txt")
+        code = main(["decompose", "--ranks", "1,1,1", "--data", str(tmp_path / "zero.txt"),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the data are all zero") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "model.json").exists()
 
     def test_lapack_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         # np.linalg.LinAlgError subclasses ValueError, the usage error: a fit whose eigensolver

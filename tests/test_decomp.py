@@ -24,11 +24,10 @@ from btucker.decomp import (
     _contracted,
     _CoreNorm,
     _top_left_vectors,
+    _least_squares_core,
     btud_fit,
-    core_regression,
     estimate_beta,
     hooi,
-    hosvd_init,
     load_model,
     posterior_stats,
     save_model,
@@ -41,6 +40,7 @@ from oracles import (
     reference_btud_fit,
     reference_core_norm,
     reference_hooi,
+    reference_hosvd,
     reference_posterior,
     reference_residual,
 )
@@ -88,31 +88,6 @@ def planted_tensor(dims, ranks, noise, seed):
     return Tensor3(reconstruct(planted).values + noise * rng.normal(size=dims))
 
 
-class TestHosvdInit:
-    def test_separable_rank_one(self):
-        t, _ = separable_tensor((5, 4, 3), seed=1)
-        model = hosvd_init(t, (1, 1, 1))
-        err = frobenius_norm(Tensor3(t.values - reconstruct(model).values))
-        assert err / frobenius_norm(t) < 1e-10
-
-    def test_full_rank_exact(self):
-        t = random_tensor((3, 3, 3), seed=2)
-        model = hosvd_init(t, (3, 3, 3))
-        err = frobenius_norm(Tensor3(t.values - reconstruct(model).values))
-        assert err / frobenius_norm(t) < 1e-10
-
-    def test_factor_rows_orthonormal(self):
-        t = random_tensor((5, 4, 3), seed=3)
-        model = hosvd_init(t, (2, 2, 2))
-        for u in (model.u1, model.u2, model.u3):
-            assert np.max(np.abs(u @ u.T - np.eye(u.shape[0]))) < 1e-10
-
-    def test_rank_bounds(self):
-        t = random_tensor((3, 3, 3))
-        with pytest.raises(ValueError):
-            hosvd_init(t, (4, 1, 1))
-
-
 class TestHooi:
     def test_exactly_low_rank_recovery(self):
         t, _ = separable_tensor((6, 5, 4), seed=4)
@@ -142,6 +117,8 @@ class TestHooi:
         t = random_tensor((3, 3, 3))
         with pytest.raises(ValueError):
             hooi(t, (2, 2, 2), max_iter=0)
+        with pytest.raises(ValueError, match="rank 4 of mode 1 must satisfy 1 <= rank <= 3"):
+            hooi(t, (4, 1, 1))
         for bad in ({"tol": 0.0}, {"factor_tol": 0.0}, {"factor_tol": -1e-7},
                     {"factor_tol": float("nan")}):
             with pytest.raises(ValueError, match="must be positive"):
@@ -150,9 +127,8 @@ class TestHooi:
     @pytest.mark.parametrize("ranks", [(3, 1, 1), (1, 3, 1), (1, 1, 3)])
     def test_rank_above_product_of_others_rejected(self, ranks):
         t = random_tensor((20, 4, 4), seed=43)
-        for fit in (hooi, hosvd_init):
-            with pytest.raises(ValueError, match="product of the other two ranks"):
-                fit(t, ranks)
+        with pytest.raises(ValueError, match="product of the other two ranks"):
+            hooi(t, ranks)
 
     @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
     def test_one_sweep_matches_reference(self, dims):
@@ -179,7 +155,7 @@ class TestHooi:
         assert report.residual_history[-1] <= 1e-12
         for u in (model.u1, model.u2, model.u3):
             assert np.max(np.abs(u @ u.T - np.eye(u.shape[0]))) <= 1e-12
-        core = core_regression(t, model.u1, model.u2, model.u3)
+        core = _least_squares_core(t.values, (model.u1, model.u2, model.u3))
         assert np.max(np.abs(model.core - core)) <= 1e-12
 
     def test_degenerate_gap_keeps_sweeping_plainly(self):
@@ -424,7 +400,7 @@ class TestCoreNorm:
 
     def test_value_gradient_and_hessian(self):
         t = planted_tensor((12, 6, 5), (3, 2, 2), noise=0.3, seed=60)
-        start = hosvd_init(t, (3, 2, 2))
+        start = reference_hosvd(t, (3, 2, 2))
         u2, u3 = start.u2, start.u3
         work, swapped = t.values, np.ascontiguousarray(t.values.transpose(0, 2, 1))
 
@@ -543,7 +519,7 @@ class TestBtudMatchesReference:
     @pytest.mark.parametrize("dims", [(30, 4, 3), (5, 4, 3)], ids=["tall", "short"])
     def test_three_sweeps_from_hosvd(self, dims, alpha):
         t = random_tensor(dims, seed=51)
-        init = hosvd_init(t, (2, 2, 2))
+        init = reference_hosvd(t, (2, 2, 2))
         model, beta, report = btud_fit(t, init, alpha=alpha, max_sweeps=3, tol=1e-15)
         expected, history, want_beta, sweeps, converged = reference_btud_fit(t, init, alpha, 3, 1e-15)
         assert report.sweeps == sweeps == 3 and report.converged is converged is False
@@ -654,7 +630,7 @@ class TestCoreRegression:
     def test_recovers_core_from_exact_model(self):
         model = random_model((5, 4, 3), (2, 2, 2), seed=10)
         t = reconstruct(model)
-        got = core_regression(t, model.u1, model.u2, model.u3)
+        got = _least_squares_core(t.values, (model.u1, model.u2, model.u3))
         assert np.max(np.abs(got - model.core)) < 1e-10
 
     def test_scalar_case(self):
@@ -662,13 +638,13 @@ class TestCoreRegression:
         u2 = np.array([[-1.0]])
         u3 = np.array([[1.0]])
         t = Tensor3(np.array([[[4.0]]]))
-        got = core_regression(t, u1, u2, u3)
+        got = _least_squares_core(t.values, (u1, u2, u3))
         assert np.isclose(got[0, 0, 0], -4.0, atol=1e-14)
 
     def test_projection_equals_pseudoinverse_path(self):
         model = random_model((4, 3, 3), (2, 2, 2), seed=11)
         t = random_tensor((4, 3, 3), seed=12)
-        fast = core_regression(t, model.u1, model.u2, model.u3)
+        fast = _least_squares_core(t.values, (model.u1, model.u2, model.u3))
         # literal regression on the Kronecker design (oracle)
         a = np.kron(model.u3.T, np.kron(model.u2.T, model.u1.T))
         g, *_ = np.linalg.lstsq(a, t.values.ravel(order="F"), rcond=None)
@@ -680,7 +656,7 @@ class TestCoreRegression:
         u1 = rng.normal(size=(2, 4))
         u2 = rng.normal(size=(2, 4))
         u3 = rng.normal(size=(2, 4))
-        got = core_regression(t, u1, u2, u3)
+        got = _least_squares_core(t.values, (u1, u2, u3))
         a = np.kron(u3.T, np.kron(u2.T, u1.T))
         g, *_ = np.linalg.lstsq(a, t.values.ravel(order="F"), rcond=None)
         assert np.max(np.abs(got - g.reshape((2, 2, 2), order="F"))) < 1e-9
@@ -692,7 +668,7 @@ class TestCoreRegression:
         t = random_tensor((5, 4, 4), seed=56)
         u1 = random_model((5, 4, 4), (2, 2, 2), seed=57).u1
         u2, u3 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        got = core_regression(t, u1, u2, u3)
+        got = _least_squares_core(t.values, (u1, u2, u3))
         a = np.kron(u3.T, np.kron(u2.T, u1.T))
         g, *_ = np.linalg.lstsq(a, t.values.ravel(order="F"), rcond=None)
         assert np.max(np.abs(got - g.reshape((2, 2, 2), order="F"))) < 1e-9
@@ -804,7 +780,7 @@ def residual_case(kind, dims, scale):
     ranks = (2, 2, 2)
     t = Tensor3(scale * random_tensor(dims, seed=73).values)
     if kind == "least-squares":
-        return t, hosvd_init(t, ranks)
+        return t, reference_hosvd(t, ranks)
     model = random_model(dims, ranks, seed=74)  # orthonormal factors, a core unrelated to t
     factors = (model.u1, model.u2, model.u3)
     if kind == "non-orthonormal":
@@ -935,19 +911,19 @@ class TestBtudFit:
 
     def test_exactly_low_rank_small_residual(self):
         t, _ = separable_tensor((6, 5, 4), seed=32)
-        init = hosvd_init(t, (1, 1, 1))
+        init = reference_hosvd(t, (1, 1, 1))
         model, _, report = btud_fit(t, init, alpha=0.0, max_sweeps=20, tol=1e-8)
         assert report.residual_history[-1] <= 1e-6
 
     def test_residual_history_non_increasing(self):
         t = random_tensor((8, 6, 5), seed=33)
-        init = hosvd_init(t, (3, 2, 2))
+        init = reference_hosvd(t, (3, 2, 2))
         _, _, report = btud_fit(t, init, alpha=0.0, max_sweeps=5, tol=1e-10)
         assert np.all(np.diff(report.residual_history) <= 1e-7)
 
     def test_factor_orthonormality_after_fit(self):
         t = random_tensor((8, 6, 5), seed=34)
-        init = hosvd_init(t, (2, 2, 2))
+        init = reference_hosvd(t, (2, 2, 2))
         model, _, _ = btud_fit(t, init, alpha=0.0, max_sweeps=3, tol=1e-10)
         for u in (model.u1, model.u2, model.u3):
             assert np.max(np.abs(u @ u.T - np.eye(u.shape[0]))) < 1e-8
@@ -956,7 +932,7 @@ class TestBtudFit:
         # alpha >> data scale: coefficient rows shrink before normalization;
         # property check is that the fit still runs and stays orthonormal
         t = random_tensor((6, 5, 4), seed=35)
-        init = hosvd_init(t, (2, 2, 2))
+        init = reference_hosvd(t, (2, 2, 2))
         model, _, _ = btud_fit(t, init, alpha=10.0, max_sweeps=2, tol=1e-10)
         for u in (model.u1, model.u2, model.u3):
             assert np.max(np.abs(u @ u.T - np.eye(u.shape[0]))) < 1e-8
@@ -965,7 +941,7 @@ class TestBtudFit:
     def test_alpha_must_be_finite_and_non_negative(self, alpha):
         t = random_tensor((4, 4, 4), seed=36)
         with pytest.raises(ValueError, match="^alpha must be finite and >= 0"):
-            btud_fit(t, hosvd_init(t, (2, 2, 2)), alpha=alpha)
+            btud_fit(t, reference_hosvd(t, (2, 2, 2)), alpha=alpha)
 
     def test_degenerate_component_error(self):
         # all-zero tensor: the first regression returns a zero row
@@ -1012,7 +988,7 @@ class TestSelfConsistency:
         # the core solve reuses mode 3's Y(3) where every factor is its own map; a factor that
         # is not orthonormal enters as pinv(u)^T, which takes a fourth pass over the data
         t = random_tensor((12, 9, 7), seed=38)
-        model = hosvd_init(t, (3, 2, 2))
+        model = reference_hosvd(t, (3, 2, 2))
         if not orthonormal:
             model = TuckerModel(core=model.core, u1=1.1 * model.u1, u2=model.u2, u3=model.u3)
         passes = []
@@ -1024,7 +1000,7 @@ class TestSelfConsistency:
         monkeypatch.setattr(decomp, "_contracted", contracted)
         check = self_consistency_check(t, model, alpha=0.0, beta=1.0)
         assert passes.count(True) == reads
-        core = core_regression(t, model.u1, model.u2, model.u3)
+        core = _least_squares_core(t.values, (model.u1, model.u2, model.u3))
         assert check.core_deviation == float(np.max(np.abs(model.core - core)))
 
     def test_exact_separable_model(self):

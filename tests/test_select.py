@@ -358,7 +358,7 @@ class TestSvdSelect:
         rng = np.random.default_rng(62)
         x = rng.normal(size=(200, 30))
         x[7] = 40.0
-        res = svd_select(x, [1], mode="btud", threshold=0.05)
+        res = svd_select(x, [1], mode="btud", threshold=0.05)[0]
         assert res.selected[7]
         assert res.n_selected <= 3
 
@@ -366,7 +366,7 @@ class TestSvdSelect:
         rng = np.random.default_rng(63)
         x = rng.normal(size=(400, 40))
         x[3] = 25.0
-        res = svd_select(x, [1], mode="td", threshold=0.05)
+        res = svd_select(x, [1], mode="td", threshold=0.05)[0]
         assert res.selected[3]
 
     def test_td_mode_ignores_common_row_level(self):
@@ -376,7 +376,7 @@ class TestSvdSelect:
         rng = np.random.default_rng(67)
         x = rng.normal(size=(300, 40)) + 2.0
         x[:5] += 3.0 * np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
-        res = svd_select(x, [1], mode="td", threshold=0.05)
+        res = svd_select(x, [1], mode="td", threshold=0.05)[0]
         assert res.selected[:5].all()
         assert res.n_selected <= 15
 
@@ -386,7 +386,7 @@ class TestSvdSelect:
         rng = np.random.default_rng(70)
         x = rng.normal(size=(300, 40))
         x[:20] += 2.0 * np.sin(np.arange(40) * 2.0 * np.pi / 3.0 + rng.uniform(0, 2 * np.pi, (20, 1)))
-        res = svd_select(x, components, mode="btud")
+        res = svd_select(x, components, mode="btud")[0]
         means, cov = reference_matrix_posterior(x, max(components))
         want = btud_statistic(means, cov, components, calibrate=True)
         assert res.selected[:20].sum() == found
@@ -399,7 +399,7 @@ class TestSvdSelect:
         with pytest.raises(DegenerateVarianceError) as err:
             svd_select(x, [1, 2], mode=mode)
         assert err.value.component == 2
-        assert svd_select(x, [1], mode=mode).p_raw.shape == (200,)
+        assert svd_select(x, [1], mode=mode)[0].p_raw.shape == (200,)
 
     def test_td_mode_takes_one_svd(self, monkeypatch):
         calls = []
@@ -426,7 +426,7 @@ class TestSvdSelect:
         counts = []
         for _ in range(20):
             x = rng.normal(size=(150, 25))
-            res = svd_select(x, [1], mode="btud", threshold=0.05)
+            res = svd_select(x, [1], mode="btud", threshold=0.05)[0]
             counts.append(res.n_selected)
         assert np.mean(counts) <= 0.05 * 150
 
