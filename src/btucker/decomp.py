@@ -294,21 +294,23 @@ class _CoreNorm:
     eigenspace turns by W_ X with X = (W_^T dS W) / (lambda_a - lambda_b),
     dS = dA^T A + A^T dA, so dH = W (dA W + A W_ X)^T R(1) + W_ X (A W)^T R(1),
     and the Hessian is P(De[xi]) - (e U^T) xi on the Grassmann quotient
-    (Absil, Mahony & Sepulchre 2008).  Every contraction with R runs once
-    per point, through :func:`_contracted`: R x3 U3 on `work` (R) and R x2 U2
-    on `swapped` (a C-ordered copy of R with modes 2 and 3 swapped), each
-    with the identity in the other mode, and T = (A W)^T R(1); a Hessian
+    (Absil, Mahony & Sepulchre 2008).  Every contraction with R, the C-ordered
+    (N', M, K) array `work`, runs once per point: R x3 U3 through
+    :func:`_contracted`, R x2 U2 as one batched product U2 R[i] per slice,
+    each with the identity in the other mode, and T = (A W)^T R(1); a Hessian
     product then only contracts these with small matrices.  Tangents are
     (xi2, xi3) raveled into one vector.  `degenerate` is True when
     lambda_L1 - lambda_L1+1 <= NOISE_FLOOR * lambda_1, where X is undefined.
+    A point whose f or gradient norm is not finite, as where the data's scale
+    overflows them, raises FloatingPointError.
     """
 
-    def __init__(self, work: np.ndarray, swapped: np.ndarray, u2, u3, l1: int):
+    def __init__(self, work: np.ndarray, u2, u3, l1: int):
         (l2, m), (l3, k) = u2.shape, u3.shape
         self.work, self.u2, self.u3 = work, u2, u3
         # (N', L3 * M) and (N', L2 * K), columns (c, j) and (b, k)
         self.ru3 = _contracted(work, None, None, u3, mode=1)
-        self.ru2 = _contracted(swapped, None, None, u2, mode=1)
+        self.ru2 = np.matmul(u2, work).reshape(len(work), -1)
         self.a = (self.ru3.reshape(-1, m) @ u2.T).reshape(-1, l3 * l2)
         lam, vecs = np.linalg.eigh(self.a.T @ self.a)
         below = lam[-l1 - 1] if l1 < lam.size else 0.0
@@ -318,6 +320,8 @@ class _CoreNorm:
         self.aw = self.a @ self.w
         self.e2, self.e3 = self._contract(self.aw @ self.w.T)
         self.grad = self._project(self.e2, self.e3)
+        if not (np.isfinite(self.f) and np.isfinite(np.linalg.norm(self.grad))):
+            raise FloatingPointError("non-finite values during HOOI iteration")
 
     @functools.cached_property
     def _t(self) -> tuple[np.ndarray, np.ndarray]:
@@ -434,28 +438,30 @@ class _Sweeper:
             raise FloatingPointError("non-finite values during HOOI iteration")
         if r2 > (1e-6 * self.scale) ** 2:
             return float(np.sqrt(r2))
-        model = np.einsum(axes + ",ai,bj,ck->ijk", core, v1(), u2, u3, optimize=True)
-        err = float(np.linalg.norm((self.x - model).ravel()))
+        # einsum copies its product into C order (out=), and the residual takes the model's
+        # place there, so the norm reads it in C order without a further copy
+        model = np.empty(self.x.shape)
+        np.einsum(axes + ",ai,bj,ck->ijk", core, v1(), u2, u3, out=model, optimize=True)
+        err = float(np.linalg.norm(np.subtract(self.x, model, out=model).ravel()))
         if not np.isfinite(err):
             raise FloatingPointError("non-finite values during HOOI iteration")
         return err
 
     @functools.cached_property
-    def trust_data(self) -> tuple[np.ndarray, np.ndarray]:
-        """The trust region's R (R^T R = G) and its C-ordered copy with modes 2 and 3 swapped.
+    def trust_data(self) -> np.ndarray:
+        """The trust region's R (R^T R = G), C-ordered (N', M, K).
 
         Formed once, when the trust region first starts: R is the Cholesky
         factor of G, the R of a QR of X(1) where G is not numerically positive
         definite (M*K rows either way), and X(1) itself where there is no G.
         """
-        r = self.x
-        if self.gram is not None:
-            try:
-                r = np.linalg.cholesky(self.gram.reshape(len(self.gram), -1)).T.copy()
-            except np.linalg.LinAlgError:
-                r = np.linalg.qr(self.x1, mode="r")
-            r = r.reshape(self.gram.shape)
-        return r, np.ascontiguousarray(r.transpose(0, 2, 1))
+        if self.gram is None:
+            return self.x
+        try:
+            r = np.linalg.cholesky(self.gram.reshape(len(self.gram), -1)).T.copy()
+        except np.linalg.LinAlgError:
+            r = np.linalg.qr(self.x1, mode="r")
+        return r.reshape(self.gram.shape)
 
     def sweep(self, in2, in3) -> tuple[np.ndarray, np.ndarray]:
         """One plain sweep from (in2, in3): the new U2 and U3, whose residual joins history."""
@@ -538,7 +544,7 @@ def _trust_region_step(sweeper: _Sweeper, point: _CoreNorm,
     noise = 1e3 * np.finfo(float).eps * abs(point.f)  # rounding level of f and its gradient
     step, predicted = _truncated_cg(point, radius, noise)
     step2, step3 = point.split(step)
-    trial = _CoreNorm(*sweeper.trust_data, _retract(point.u2, step2), _retract(point.u3, step3),
+    trial = _CoreNorm(sweeper.trust_data, _retract(point.u2, step2), _retract(point.u3, step3),
                       sweeper.ranks[0])
     rho = (trial.f - point.f + noise) / (predicted + noise)
     if rho < 0.25:
@@ -613,7 +619,7 @@ def hooi(
         if moved < factor_tol:
             break
         if point is None:
-            point = _CoreNorm(*sweeper.trust_data, u2, u3, ranks[0])
+            point = _CoreNorm(sweeper.trust_data, u2, u3, ranks[0])
         if point.degenerate:
             point = None
 
@@ -709,8 +715,8 @@ def _residual(t: Tensor3, x_sq: float, model: TuckerModel, y3: np.ndarray) -> tu
         r2 = (x_sq - 2 * float(np.vdot(_unfolding(core, 3), factors[2] @ y3))
               + float(np.vdot(core, spread)))
     if not (np.isfinite(r2) and r2 > RESIDUAL_CANCELLATION * x_sq):
-        resid = t.values - reconstruct(model).values
-        r2 = float(np.sum(resid * resid))
+        resid = np.subtract(t.values, reconstruct(model).values)  # the model is dropped here
+        r2 = float(np.sum(np.square(resid, out=resid)))
     return float(np.sqrt(r2)), linalg._capped_precision(r2, t.values.size)
 
 

@@ -40,12 +40,15 @@ UNFOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 _format_float = "{:.17g}".format
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
-        out = out.copy()
-    out.flags.writeable = False
-    return out
+def _checked(v: np.ndarray) -> np.ndarray:
+    """v, once it is a finite 3-way array with positive dimensions; ValueError otherwise."""
+    if v.ndim != 3:
+        raise ValueError(f"expected a 3-way array, got ndim={v.ndim}")
+    if min(v.shape) < 1:
+        raise ValueError(f"all dimensions must be positive, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("tensor entries must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -53,20 +56,18 @@ class Tensor3:
     """Immutable dense order-3 tensor.
 
     values must be a finite real array of shape (N, M, K); the data is copied
-    and frozen so instances are safe to share between threads.
+    into a C-ordered float64 array and frozen, so instances are safe to share
+    between threads and later writes to the caller's array do not reach them.
+    The package's own generator and :func:`reconstruct` build their arrays
+    for the tensor alone, and hand them over without the copy (:func:`_adopted`).
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3:
-            raise ValueError(f"expected a 3-way array, got ndim={v.ndim}")
-        if min(v.shape) < 1:
-            raise ValueError(f"all dimensions must be positive, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("tensor entries must be finite")
-        object.__setattr__(self, "values", _as_readonly(v))
+        v = np.array(_checked(np.asarray(self.values, dtype=np.float64)), order="C")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -74,6 +75,20 @@ class Tensor3:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tensor3) and np.array_equal(self.values, other.values)
+
+
+def _adopted(a: np.ndarray) -> Tensor3:
+    """A Tensor3 that takes over a, frozen in place: no copy of the data.
+
+    a must be a fresh C-contiguous float64 array that nothing else refers to,
+    built by this package for the tensor; it gets Tensor3's checks.
+    """
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata):
+        raise ValueError("only a C-contiguous float64 array that owns its data can be adopted")
+    _checked(a).flags.writeable = False
+    t = object.__new__(Tensor3)
+    object.__setattr__(t, "values", a)
+    return t
 
 
 def _unfolding(a: np.ndarray, mode: int) -> np.ndarray:
@@ -112,7 +127,9 @@ def reconstruct(model) -> Tensor3:
             f"core shape {core.shape} does not match factor ranks "
             f"({u1.shape[0]}, {u2.shape[0]}, {u3.shape[0]})"
         )
-    return Tensor3(np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, optimize=True))
+    # einsum's own result is a transposed view: out= has it copied into C order, as Tensor3 would
+    out = np.empty((u1.shape[1], u2.shape[1], u3.shape[1]))
+    return _adopted(np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, out=out, optimize=True))
 
 
 def frobenius_norm(t: Tensor3) -> float:

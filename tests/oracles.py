@@ -6,6 +6,8 @@ design, the SVD pseudoinverse with its own cutoff (:func:`pseudoinverse`) and
 the residual of the reconstructed model (:func:`reference_residual`).
 reference_hosvd is the exception: the truncated HOSVD that tests start their
 solvers from, built by btucker.decomp's own top-vector and core helpers.
+SwappedCoreNorm is the trust region's kernel with R x2 U2 formed from a
+mode-2/3-swapped copy of R.
 reference_text_file is the per-value text writer that btucker.tensor's block
 writer must match byte for byte; reference_coupling_matrix draws the coupled
 maps' coupling rows one new generator at a time; reference_matrix_report plots
@@ -18,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from btucker import datagen, linalg, select
-from btucker.decomp import (ORTHONORMALITY_TOL, TuckerModel, _least_squares_core,
-                            _top_left_vectors, _validate_ranks)
+from btucker.decomp import (ORTHONORMALITY_TOL, TuckerModel, _contracted, _CoreNorm,
+                            _least_squares_core, _top_left_vectors, _validate_ranks)
 from btucker.tensor import read_matrix, reconstruct, unfold
 
 # Relative singular-value cutoff for the pseudoinverse; values below
@@ -119,6 +121,20 @@ def reference_core_norm(t, u2, u3, l1):
     u1 = reference_optimal_u1(t, u2, u3, l1)
     core = np.einsum("ijk,ai,bj,ck->abc", t.values, u1, u2, u3, optimize=True)
     return float(np.sum(core * core))
+
+
+class SwappedCoreNorm(_CoreNorm):
+    """_CoreNorm with R x2 U2 taken from a C-ordered copy of R with modes 2 and 3 swapped.
+
+    That copy goes through the mode-1 kernel, as R x3 U3 does on R itself; the
+    gradient is recomputed from it.  _CoreNorm forms R x2 U2 from R alone.
+    """
+
+    def __init__(self, work, u2, u3, l1):
+        super().__init__(work, u2, u3, l1)
+        self.ru2 = _contracted(np.ascontiguousarray(work.transpose(0, 2, 1)), None, None, u2, mode=1)
+        self.e2, self.e3 = self._contract(self.aw @ self.w.T)
+        self.grad = self._project(self.e2, self.e3)
 
 
 def reference_residual(t, model):

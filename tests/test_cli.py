@@ -814,6 +814,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_trust_region_exit_3(self, tmp_path, capsys):
+        # x 2^300: ||x||^2 and G stay finite, but the trust region's gradient norm overflows;
+        # its overflow warnings stay, and the run ends in one error line, not a JSON error
+        x = np.random.default_rng(0).standard_normal((10, 4, 4)) * 2.0 ** 300
+        tensor.write_tensor(tensor.Tensor3(x), tmp_path / "huge.txt")
+        code = main(["decompose", "--ranks", "2,2,2", "--data", str(tmp_path / "huge.txt"),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
     def test_all_zero_tensor_exit_3(self, tmp_path, capsys):
         # numerical rank 0 in every mode: no fit can be certified, so none is written
         tensor.write_tensor(tensor.Tensor3(np.zeros((2, 2, 2))), tmp_path / "zero.txt")

@@ -36,6 +36,7 @@ from btucker.decomp import (
 from btucker.errors import DegenerateComponentError
 from btucker.tensor import Tensor3, frobenius_norm, reconstruct, unfold
 from oracles import (
+    SwappedCoreNorm,
     design_matrix,
     reference_btud_fit,
     reference_core_norm,
@@ -402,10 +403,8 @@ class TestCoreNorm:
         t = planted_tensor((12, 6, 5), (3, 2, 2), noise=0.3, seed=60)
         start = reference_hosvd(t, (3, 2, 2))
         u2, u3 = start.u2, start.u3
-        work, swapped = t.values, np.ascontiguousarray(t.values.transpose(0, 2, 1))
-
         def at(v2, v3):
-            return _CoreNorm(work, swapped, v2, v3, 3)
+            return _CoreNorm(t.values, v2, v3, 3)
 
         def retract(u, xi):  # QR with a positive diagonal, so the basis moves continuously
             q, r = np.linalg.qr((u + xi).T)
@@ -439,6 +438,24 @@ class TestCoreNorm:
         assert np.linalg.norm(point.hessian(vertical)) <= 1e-10 * np.linalg.norm(hess_xi)
 
 
+    @pytest.mark.parametrize("dims", [(40, 6, 5), (12, 6, 5)], ids=["cholesky", "data"])
+    def test_matches_the_swapped_copy_route(self, dims):
+        # R x2 U2 from R alone sums in another order than the kernel on R's swapped copy:
+        # f, the gradient and Hessian products agree to 1e-13, relative
+        t = planted_tensor(dims, (3, 2, 2), noise=0.3, seed=62)
+        sweeper = decomp._Sweeper(t, (3, 2, 2), DEFAULT_FACTOR_TOL)
+        work, (u2, u3) = sweeper.trust_data, sweeper.start()
+        assert work.shape[0] == min(dims[0], dims[1] * dims[2])
+        point, want = _CoreNorm(work, u2, u3, 3), SwappedCoreNorm(work, u2, u3, 3)
+        assert point.f == pytest.approx(want.f, rel=1e-13)
+        assert np.linalg.norm(point.grad - want.grad) <= 1e-13 * np.linalg.norm(want.grad)
+        rng = np.random.default_rng(63)
+        for _ in range(3):
+            xi = point._project(rng.normal(size=u2.shape), rng.normal(size=u3.shape))
+            got, expected = point.hessian(xi), want.hessian(xi)
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 class TestTrustRegionStep:
     """The trust region's acceptance and radius rule, with the CG step and the trial's f stubbed.
 
@@ -460,13 +477,13 @@ class TestTrustRegionStep:
     def test_ratio_and_radius_rule(self, monkeypatch, rho, length, radius, kept, new_radius):
         t = random_tensor((40, 4, 3), seed=60)
         sweeper = decomp._Sweeper(t, (2, 2, 2), DEFAULT_FACTOR_TOL)
-        point = _CoreNorm(*sweeper.trust_data, *sweeper.start(), 2)
+        point = _CoreNorm(sweeper.trust_data, *sweeper.start(), 2)
         step = length * radius * point.grad / np.linalg.norm(point.grad)
         predicted = 1.0
         noise = 1e3 * np.finfo(float).eps * point.f  # the offset the ratio carries
 
         class Trial:
-            def __init__(self, work, swapped, u2, u3, l1):
+            def __init__(self, work, u2, u3, l1):
                 self.u2, self.u3 = u2, u3
                 self.f = point.f + rho * (predicted + noise) - noise
 
@@ -873,7 +890,20 @@ def preset_member():
     return t, model
 
 
+def traced_peak(call) -> int:
+    """The traced peak of call() above what was traced when it started, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestTemporaries:
+    """The memory each tensor path holds beyond its data (3.2 MB on the preset member)."""
+
     @pytest.mark.parametrize("call", ["estimate_beta", "btud_fit", "self_consistency_check"])
     def test_peak_below_half_the_data(self, preset_member, call):
         # residuals from the core, contractions on the data's own layout: no tensor-sized copy
@@ -882,13 +912,40 @@ class TestTemporaries:
         run = {"estimate_beta": lambda: estimate_beta(t, model),
                "btud_fit": lambda: btud_fit(t, model, alpha=0.0, max_sweeps=5),
                "self_consistency_check": lambda: self_consistency_check(t, model, 0.0, beta)}
-        tracemalloc.start()
-        try:
-            run[call]()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < t.values.nbytes / 2
+        assert traced_peak(run[call]) < t.values.nbytes / 2
+
+    def test_generation_holds_the_data_once(self, preset_member):
+        # the generator's array becomes the tensor without a copy; what is left above the data
+        # is the finiteness check's boolean mask (0.4 MB); a copy took the peak to 6.40 MB
+        from btucker import cli
+        t, _ = preset_member
+        peak = traced_peak(lambda: cli.generate_data(build_config("synthetic-block"), 1000))
+        assert peak <= t.values.nbytes + 0.5e6
+
+    def test_hooi_peak(self, preset_member):
+        # above the data: G and the trust region's R (1.28 MB each), the U1 lift and the
+        # trust-region points; 5.24-5.26 MB measured on seeds 1000, 1001, 1003 and 1017,
+        # against 6.52-6.54 MB when the trust region also held R's mode-2/3-swapped copy
+        t, _ = preset_member
+        assert traced_peak(lambda: hooi(t, build_config("synthetic-block").ranks)) < 5.5e6
+
+    def test_explicit_residuals_in_place(self):
+        # a near-exact fit forms every residual from the data; the model's einsum leaves its
+        # product in another layout, so the model is a second tensor-sized array, and the
+        # residual then takes the model's place (hooi's) or is squared in its own (_residual's)
+        t = planted_tensor((80, 8, 8), (2, 2, 2), noise=1e-9, seed=80)
+        model, _ = hooi(t, (2, 2, 2))
+        sweeper = decomp._Sweeper(t, (2, 2, 2), DEFAULT_FACTOR_TOL)
+        y3 = _contracted(t.values, model.u1, model.u2, None, 3)
+        x_sq = linalg._sum_of_squares(t.values)
+        bound = 2 * t.values.nbytes + 0.25 * t.values.nbytes  # two arrays, and rank-sized ones
+        assert traced_peak(lambda: decomp._residual(t, x_sq, model, y3)) < bound
+
+        def residual():
+            return sweeper.residual(model.core, "abc", lambda: model.u1, model.u2, model.u3)
+
+        assert traced_peak(residual) < bound
+        assert residual() == float(np.linalg.norm((t.values - reconstruct(model).values).ravel()))
 
 
 class TestBtudFit:

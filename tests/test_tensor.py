@@ -48,6 +48,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.values[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("x", [np.arange(24.0).reshape(2, 3, 4),
+                                   np.asfortranarray(np.arange(24.0).reshape(2, 3, 4)),
+                                   np.arange(24).reshape(2, 3, 4)], ids=["C", "F", "int"])
+    def test_does_not_alias_the_callers_array(self, x):
+        x = x.copy(order="K")  # the parameter itself stays as collected
+        t = Tensor3(x)
+        x[0, 1, 2] = -1
+        assert x.flags.writeable and t.values[0, 1, 2] == 6.0
+        assert t.values.flags.c_contiguous and t.values.dtype == np.float64
+
+    def test_adopted_takes_the_array_itself(self):
+        x = np.random.default_rng(5).normal(size=(3, 4, 5))
+        want = Tensor3(x)
+        t = tensor._adopted(x)
+        assert t.values is x and not x.flags.writeable and t == want
+
+    @pytest.mark.parametrize("case", ["view", "fortran", "int", "nan", "ndim"])
+    def test_adopted_checks(self, case):
+        x = {"view": np.zeros((4, 3, 2))[1:],
+             "fortran": np.zeros((3, 3, 2), order="F"),
+             "int": np.zeros((3, 3, 2), dtype=int),
+             "nan": np.full((3, 3, 2), np.nan),
+             "ndim": np.zeros((3, 3))}[case]
+        with pytest.raises(ValueError):
+            tensor._adopted(x)
+
 
 class TestUnfold:
     def test_degenerate_1x1x1(self):

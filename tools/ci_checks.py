@@ -2,7 +2,11 @@
 
     python tools/ci_checks.py beta <run>    # a decompose run: data.txt and model.json
     python tools/ci_checks.py sigma <run>   # an rcs-gcm select run: data.txt and selection.csv
+    python tools/ci_checks.py fit <decompose.out> [--newton]   # decompose's stdout
 
+fit reads the last line that decompose printed, its "key value" pairs, and
+requires self_consistent True; with --newton also newton_steps of at least 1,
+a fit that handed over from the plain sweeps to the trust region.
 beta recomputes the run's noise precision from data.txt and model.json by
 reconstructing the model and subtracting it, and requires model.json's beta,
 which decompose took from the core without forming the residual, to agree to
@@ -45,12 +49,25 @@ def sigma_check(run: str) -> bool:
     return written == p_raw
 
 
+def fit_check(out: str, newton: bool) -> bool:
+    with open(out) as fh:
+        tokens = (fh.read().splitlines() or [""])[-1].split()
+    fields = dict(zip(tokens[::2], tokens[1::2]))
+    certified = fields.get("self_consistent") == "True"
+    steps = int(fields.get("newton_steps", 0))
+    print(out, "self_consistent", certified, "newton_steps", steps)
+    return certified and (steps >= 1 or not newton)
+
+
 CHECKS = {"beta": beta_check, "sigma": sigma_check}
 
 
 def main(argv) -> int:
+    if len(argv) in (2, 3) and argv[0] == "fit" and argv[2:] in ([], ["--newton"]):
+        return 0 if fit_check(argv[1], newton=len(argv) == 3) else 1
     if len(argv) != 2 or argv[0] not in CHECKS:
-        print(f"usage: ci_checks.py {{{','.join(CHECKS)}}} <run>", file=sys.stderr)
+        print(f"usage: ci_checks.py {{{','.join(CHECKS)}}} <run> | fit <decompose.out> [--newton]",
+              file=sys.stderr)
         return 2
     return 0 if CHECKS[argv[0]](argv[1]) else 1
 
