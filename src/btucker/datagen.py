@@ -35,7 +35,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import DivergenceError, FileFormatError
-from .tensor import Tensor3, _adopted, _read_utf8, write_csv
+from .tensor import _FLAGS, Tensor3, _adopted, _read_utf8, write_csv
 
 DIVERGENCE_LIMIT = 1e6
 # Threads that fill the coupling matrix, at most: `ensemble --threads N` runs N
@@ -240,9 +240,9 @@ def read_truth_csv(path) -> np.ndarray:
         reader = csv.reader(fh)
         if next(reader, None) != ["truth"]:
             raise FileFormatError(f"not a truth-mask CSV: {path}")
-        return np.array([bool(int(row[0])) for row in reader], dtype=bool)
+        return np.array([_FLAGS[row[0]] for row in reader], dtype=bool)
 
     try:
         return _read_utf8(path, parse)
-    except (ValueError, IndexError, csv.Error) as exc:
+    except (KeyError, ValueError, IndexError, csv.Error) as exc:
         raise FileFormatError(f"unparsable truth mask in {path}: {exc}") from exc

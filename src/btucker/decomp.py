@@ -39,8 +39,8 @@ Rev. 51, 2009, section 4.2),
 with P the data contracted with all three factors, so :func:`estimate_beta`
 and :func:`btud_fit` take ||x||^2 once and then only core-sized arrays.  The
 sum's rounding is a few eps ||x||^2: where it is non-finite, or at or below
-RESIDUAL_CANCELLATION (1e-2) times ||x||^2, the model is reconstructed and
-subtracted instead, so beta agrees with the explicit residual's to 1e-12.
+RESIDUAL_CANCELLATION (1e-2) times ||x||^2, the residual is formed and
+measured instead, so beta agrees with the explicit residual's to 1e-12.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from . import linalg
 from .errors import DegenerateComponentError, DegenerateRowError, FileFormatError
 from .linalg import BETA_CAP, NOISE_FLOOR  # BETA_CAP re-exported: every fit's beta cap
 from .tensor import (UNFOLD_AXES, Tensor3, _check_mode, _folding, _read_utf8, _unfolding,
-                     frobenius_norm, reconstruct, unfold, write_json)
+                     frobenius_norm, unfold, write_json)
 
 ORTHONORMALITY_TOL = 1e-6  # factor deviation above which the core solve uses pinv(u)^T
 RESIDUAL_CANCELLATION = 1e-2  # a residual of at most this share of ||x||^2 is formed explicitly
@@ -425,27 +425,21 @@ class _Sweeper:
             moved = max(moved, float(np.max(np.abs(self.lift(*w) - self.lift(*previous_w)))))
         return moved
 
-    def residual(self, core: np.ndarray, axes: str, v1, u2, u3) -> float:
+    def residual(self, core: np.ndarray, v1, u2, u3) -> float:
         """||x - [[core; v1(), u2, u3]]|| for orthonormal factors and the projected core.
 
-        axes names core's modes in einsum's letters (a, b, c for modes 1-3).
         The residual is sqrt(||x||^2 - ||core||^2) unless that is at or below
-        1e-6 ||x||, where cancellation would dominate: there the model is
-        formed, with v1 called for U1, and subtracted from the data.
+        1e-6 ||x||, where cancellation would dominate: there it is formed
+        (:func:`_explicit_residual`, with v1 called for U1) and its squared
+        norm taken as np.linalg.norm takes it, by one dot product.
         """
-        r2 = self.norm_x_sq - float(np.vdot(core, core))
+        # core is a transposed view of the sweep's array: its squares are summed in memory order
+        r2 = self.norm_x_sq - linalg._sum_of_squares(core.ravel(order="K"))
+        if np.isfinite(r2) and r2 <= (1e-6 * self.scale) ** 2:
+            r2 = linalg._sum_of_squares(_explicit_residual(self.x, core, v1(), u2, u3))
         if not np.isfinite(r2):
             raise FloatingPointError("non-finite values during HOOI iteration")
-        if r2 > (1e-6 * self.scale) ** 2:
-            return float(np.sqrt(r2))
-        # einsum copies its product into C order (out=), and the residual takes the model's
-        # place there, so the norm reads it in C order without a further copy
-        model = np.empty(self.x.shape)
-        np.einsum(axes + ",ai,bj,ck->ijk", core, v1(), u2, u3, out=model, optimize=True)
-        err = float(np.linalg.norm(np.subtract(self.x, model, out=model).ravel()))
-        if not np.isfinite(err):
-            raise FloatingPointError("non-finite values during HOOI iteration")
-        return err
+        return float(np.sqrt(r2))
 
     @functools.cached_property
     def trust_data(self) -> np.ndarray:
@@ -482,13 +476,21 @@ class _Sweeper:
         z = z.reshape(l1, m, k)
         if not self.history:
             core_in = _contracted(z, None, in2, in3, mode=1).reshape(l1, l3, l2)
-            self.history.append(self.residual(core_in, "acb", v1, in2, in3))
+            self.history.append(self.residual(core_in.transpose(0, 2, 1), v1, in2, in3))
         s2 = _top_left_vectors(_contracted(z, None, in2, in3, mode=2), l2)
         contracted3 = _contracted(z, None, s2, in3, mode=3)
         s3 = _top_left_vectors(contracted3, l3)
         core = (s3 @ contracted3).reshape(l3, l2, l1)
-        self.history.append(self.residual(core, "cba", v1, s2, s3))
+        self.history.append(self.residual(core.transpose(2, 1, 0), v1, s2, s3))
         return s2, s3
+
+
+def _explicit_residual(x: np.ndarray, core: np.ndarray, u1, u2, u3) -> np.ndarray:
+    """x - [[core; u1, u2, u3]] in one fresh C-ordered array, the model's, subtracted in place."""
+    resid = np.empty(x.shape)
+    # einsum's own product is a transposed view: out= has it copied into C order
+    np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, out=resid, optimize=True)
+    return np.subtract(x, resid, out=resid)
 
 
 def _retract(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -704,20 +706,22 @@ def _residual(t: Tensor3, x_sq: float, model: TuckerModel, y3: np.ndarray) -> tu
     with P = U3 Y(3), the data contracted with all three factors (Kolda &
     Bader 2009, section 4.2), so only core-sized arrays are formed.  Its
     rounding is a few eps ||x||^2, so where that sum is non-finite or at or
-    below RESIDUAL_CANCELLATION ||x||^2 the model is reconstructed and
-    subtracted instead.
+    below RESIDUAL_CANCELLATION ||x||^2 the residual is formed instead
+    (:func:`_explicit_residual`).  A residual whose squared norm overflows
+    raises FloatingPointError.
     """
     core, factors = model.core, (model.u1, model.u2, model.u3)
     g1, g2, g3 = (u @ u.T for u in factors)
-    with np.errstate(over="ignore"):  # a non-finite sum takes the explicit residual
+    # a non-finite sum takes the explicit residual; a non-finite one there raises below
+    with np.errstate(over="ignore"):
         # C x1 G1 x2 G2 x3 G3: G1 on the rows, G2 on each (L2, L3) slice, G3 on the columns
         spread = (g2 @ (g1 @ core.reshape(core.shape[0], -1)).reshape(core.shape)) @ g3.T
         r2 = (x_sq - 2 * float(np.vdot(_unfolding(core, 3), factors[2] @ y3))
               + float(np.vdot(core, spread)))
-    if not (np.isfinite(r2) and r2 > RESIDUAL_CANCELLATION * x_sq):
-        resid = np.subtract(t.values, reconstruct(model).values)  # the model is dropped here
-        r2 = float(np.sum(np.square(resid, out=resid)))
-    return float(np.sqrt(r2)), linalg._capped_precision(r2, t.values.size)
+        if not (np.isfinite(r2) and r2 > RESIDUAL_CANCELLATION * x_sq):
+            resid = _explicit_residual(t.values, core, *factors)
+            r2 = float(np.sum(np.square(resid, out=resid)))
+    return float(np.sqrt(r2)), linalg.noise_precision(r2, t.values.size)
 
 
 def estimate_beta(t: Tensor3, model: TuckerModel) -> float:

@@ -109,11 +109,12 @@ def _sum_of_squares(a: np.ndarray) -> float:
         return float(np.vdot(a, a))
 
 
-def noise_precision(resid: np.ndarray) -> float:
-    """One over the mean squared residual, capped at BETA_CAP for near-exact fits."""
-    return _capped_precision(float(np.sum(resid * resid)), resid.size)
+def noise_precision(ssq: float, size: int) -> float:
+    """size / ssq, the precision of a residual of `size` entries and squared norm ssq.
 
-
-def _capped_precision(ssq: float, size: int) -> float:
-    """size / ssq, the precision of a residual of `size` entries and squared norm ssq, capped."""
+    Capped at BETA_CAP for near-exact fits; a non-finite ssq, a residual whose
+    squares overflow float64, raises FloatingPointError.
+    """
+    if not np.isfinite(ssq):
+        raise FloatingPointError("the squared norm of the residual overflows float64")
     return min(size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP

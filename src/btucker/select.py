@@ -25,7 +25,7 @@ from .errors import (
     NoiseFloorError,
     SigmaOptimizationError,
 )
-from .tensor import _read_utf8, write_csv, write_json
+from .tensor import _FLAGS, _read_utf8, write_csv, write_json
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_BINS = 100
@@ -353,7 +353,9 @@ def svd_select(
     :func:`btud_statistic`) of decomp's mode-1 posterior at alpha = 0.  For
     this model that posterior is the SVD itself: mean U^T, taken from the
     data as diag(1/s) V^T x^T, and covariance diag(1 / (beta s^2)), with
-    beta the noise precision of the model's residual, as decomp's.
+    beta the noise precision of the model's residual, as decomp's.  That
+    residual's squared norm is the sum of the squared singular values the
+    model leaves out, so it is read off the spectrum and never formed.
 
     On both routes a requested component whose squared singular value is at
     or below linalg.NOISE_FLOOR times the largest is noise, not signal, and
@@ -363,10 +365,8 @@ def svd_select(
     Centring never raises a column's sum of squares and scaling sets it to
     N, so the check on the raw matrix covers the "td" route's matrix too.
 
-    The returned SVD is the scored one, truncated at max(L, 2) rather than
-    at L: its leading two components are the factors that reports plot
-    (:func:`write_factors_json`).  :func:`linalg.svd` truncates one full thin
-    SVD, so the scored components are bitwise those of a rank-L call.
+    The returned SVD is the scored matrix's whole thin SVD: its leading two
+    components are the factors that reports plot (:func:`write_factors_json`).
     """
     x = np.asarray(x, dtype=np.float64)
     linalg.squared_norm(x)
@@ -375,7 +375,7 @@ def svd_select(
         raise ValueError("expected a matrix")
     comps = _component_indices(components, min(x.shape))
     rank = int(comps.max())
-    full = linalg.svd(x, rank=max(rank, 2))
+    full = linalg.svd(x)
     res = linalg.SvdResult(U=full.U[:, :rank], s=full.s[:rank], V=full.V[:, :rank])
     power = res.s**2
     floor = linalg.NOISE_FLOOR * power[0]
@@ -388,7 +388,8 @@ def svd_select(
         fit = optimize_sigma(u_feat, comps)
         stat = td_statistic(u_feat, fit.sigma, comps)
     else:
-        beta = linalg.noise_precision(x - (res.U * res.s) @ res.V.T)
+        # ||x - U diag(s) V^T||^2 is the sum of the squared singular values left out
+        beta = linalg.noise_precision(linalg._sum_of_squares(full.s[rank:]), x.size)
         # U^T, as the least-squares fit on V diag(s); divided in place, since a
         # second (L, N) temporary raised matrix-cli's peak RSS
         means = res.V.T @ x.T
@@ -424,7 +425,7 @@ def read_selection_csv(path) -> SelectionResult:
             stats.append(float(row["statistic"]))
             p_raw.append(float(row["p_raw"]))
             p_adj.append(float(row["p_adjusted"]))
-            sel.append(bool(int(row["selected"])))
+            sel.append(_FLAGS[row["selected"]])
 
     try:
         _read_utf8(path, parse)

@@ -38,6 +38,7 @@ from .errors import FileFormatError
 UNFOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 
 _format_float = "{:.17g}".format
+_FLAGS = {"0": False, "1": True}  # the 0/1 cells of a CSV flag column; any other is a KeyError
 
 
 def _checked(v: np.ndarray) -> np.ndarray:
@@ -46,7 +47,8 @@ def _checked(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 3-way array, got ndim={v.ndim}")
     if min(v.shape) < 1:
         raise ValueError(f"all dimensions must be positive, got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # no mask of v's size: NaN reaches min and max, and an infinity one of them
+    if not (np.isfinite(v.min()) and np.isfinite(v.max())):
         raise ValueError("tensor entries must be finite")
     return v
 
@@ -218,7 +220,7 @@ def _read_text(path, tag: str, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
         raise FileFormatError(f"unparsable {tag} data in {path}: {exc}") from exc
     if min(dims) < 1 or flat.size != math.prod(dims):
         raise FileFormatError(f"bad header {tag} {dims} for {flat.size} values in {path}")
-    if not np.all(np.isfinite(flat)):
+    if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):  # as in _checked
         raise FileFormatError(f"non-finite entries in {path}")
     return dims, flat
 

@@ -22,6 +22,7 @@ import numpy as np
 from btucker import datagen, linalg, select
 from btucker.decomp import (ORTHONORMALITY_TOL, TuckerModel, _contracted, _CoreNorm,
                             _least_squares_core, _top_left_vectors, _validate_ranks)
+from btucker.linalg import BETA_CAP
 from btucker.tensor import read_matrix, reconstruct, unfold
 
 # Relative singular-value cutoff for the pseudoinverse; values below
@@ -138,9 +139,15 @@ class SwappedCoreNorm(_CoreNorm):
 
 
 def reference_residual(t, model):
-    """||t - model|| and its noise precision, from the explicitly reconstructed residual."""
+    """||t - model|| and its noise precision, from the explicitly reconstructed residual.
+
+    The precision is written out here, size / ssq capped at BETA_CAP, so that
+    it shares no code with linalg.noise_precision, the rule it checks.
+    """
     resid = t.values - reconstruct(model).values
-    return float(np.linalg.norm(resid.ravel())), linalg.noise_precision(resid)
+    ssq = float(np.sum(resid * resid))
+    beta = min(resid.size / ssq, BETA_CAP) if ssq > 0 else BETA_CAP
+    return float(np.linalg.norm(resid.ravel())), beta
 
 
 def reference_core_regression(t, u1, u2, u3):

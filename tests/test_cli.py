@@ -825,6 +825,26 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
+    def test_overflowing_residual_exit_3(self, tmp_path, capsys):
+        # x 2^520 overflows ||x||^2, and the residual of a model fitted to x and scaled with
+        # it overflows its squares too: a model.json whose beta is null must then end select
+        # in one line and no warning, not with a beta of 0
+        x = np.random.default_rng(0).standard_normal((10, 4, 4))
+        model, _ = decomp.hooi(tensor.Tensor3(x), (2, 2, 2))
+        scale = 2.0 ** 520
+        tensor.write_tensor(tensor.Tensor3(x * scale), tmp_path / "huge.txt")
+        decomp.save_model(decomp.TuckerModel(model.core * scale, model.u1, model.u2, model.u3),
+                          tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        (tmp_path / "model.json").write_text(json.dumps({**doc, "beta": None}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["select", "--ranks", "2,2,2", "--data", str(tmp_path / "huge.txt"),
+                         "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_all_zero_tensor_exit_3(self, tmp_path, capsys):
         # numerical rank 0 in every mode: no fit can be certified, so none is written
         tensor.write_tensor(tensor.Tensor3(np.zeros((2, 2, 2))), tmp_path / "zero.txt")

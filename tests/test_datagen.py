@@ -22,7 +22,7 @@ from btucker.datagen import (
     simulate_rcs_gcm,
     write_truth_csv,
 )
-from btucker.errors import DivergenceError
+from btucker.errors import DivergenceError, FileFormatError
 from oracles import reference_coupling_matrix
 
 
@@ -212,3 +212,10 @@ class TestTruthCsv:
         path = tmp_path / "truth.csv"
         write_truth_csv(mask, path)
         assert np.array_equal(read_truth_csv(path), mask)
+
+    @pytest.mark.parametrize("flag", ["2", "-1", " 1", "1.0", "true", ""])
+    def test_flag_other_than_0_or_1_raises(self, tmp_path, flag):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"truth\r\n1\r\n{flag}\r\n", newline="")
+        with pytest.raises(FileFormatError, match="unparsable truth mask"):
+            read_truth_csv(path)

@@ -205,9 +205,15 @@ class TestSquaredNorm:
 
 class TestNoisePrecision:
     def test_inverse_mean_square(self):
-        assert noise_precision(np.array([1.0, -1.0, 2.0, 0.0])) == 4 / 6
+        assert noise_precision(6.0, 4) == 4 / 6
 
     def test_capped_for_near_exact_fits(self):
-        assert noise_precision(np.zeros(5)) == BETA_CAP
-        assert noise_precision(np.full(5, 1e-10)) == BETA_CAP
+        assert noise_precision(0.0, 5) == BETA_CAP
+        assert noise_precision(5e-20, 5) == BETA_CAP
+
+    @pytest.mark.parametrize("ssq", [np.inf, np.nan])
+    def test_non_finite_square_raises(self, ssq):
+        # a residual whose squares overflow has no precision, not a precision of 0
+        with pytest.raises(FloatingPointError, match="overflows float64"):
+            noise_precision(ssq, 160)
 

@@ -4,7 +4,8 @@ from scipy.integrate import quad
 from scipy.special import gammainccinv
 
 from btucker import linalg
-from btucker.errors import DegenerateVarianceError, SigmaOptimizationError
+from btucker.decomp import TuckerModel
+from btucker.errors import DegenerateVarianceError, FileFormatError, SigmaOptimizationError
 from btucker.select import (
     _SIGMA_BAND,
     DEFAULT_BINS,
@@ -24,7 +25,8 @@ from btucker.select import (
     td_statistic,
     write_selection_csv,
 )
-from oracles import reference_matrix_posterior, reference_sigma_objectives
+from btucker.tensor import Tensor3
+from oracles import reference_matrix_posterior, reference_residual, reference_sigma_objectives
 
 
 def bh_oracle(p):
@@ -392,6 +394,24 @@ class TestSvdSelect:
         assert res.selected[:20].sum() == found
         assert np.max(np.abs(res.statistic - want) / want) < 1e-12
 
+    @pytest.mark.parametrize("noise", [1.0, 1e-9], ids=["noisy", "near-exact"])
+    def test_btud_beta_from_the_spectrum_tail(self, monkeypatch, noise):
+        # beta from the squared singular values the rank-2 model leaves out, against the
+        # explicit residual of that model as the N x 1 x M tensor; near-exact, the tail has
+        # no cancellation, and both reach BETA_CAP
+        rng = np.random.default_rng(75)
+        x = rng.normal(size=(300, 2)) @ rng.normal(size=(2, 40))
+        x += noise * rng.normal(size=(300, 40))
+        betas, rule = [], linalg.noise_precision
+        monkeypatch.setattr(linalg, "noise_precision",
+                            lambda *a: betas.append(rule(*a)) or betas[-1])
+        svd = svd_select(x, [1, 2], mode="btud")[1]
+        model = TuckerModel(np.diag(svd.s[:2])[:, None, :], svd.U[:, :2].T, np.ones((1, 1)),
+                            svd.V[:, :2].T)
+        want = reference_residual(Tensor3(x[:, None, :]), model)[1]
+        assert len(betas) == 1 and abs(betas[0] - want) <= 1e-12 * want
+        assert (want == linalg.BETA_CAP) is (noise < 1)
+
     @pytest.mark.parametrize("mode", ["btud", "td"])
     def test_rank_deficient_component_raises(self, mode):
         rng = np.random.default_rng(71)
@@ -464,6 +484,14 @@ class TestSelectionCsv:
         assert np.array_equal(back.p_raw, res.p_raw)
         assert np.array_equal(back.p_adjusted, res.p_adjusted)
         assert np.array_equal(back.statistic, res.statistic)
+
+    @pytest.mark.parametrize("flag", ["2", "-1", " 1", "1.0", "true", ""])
+    def test_flag_other_than_0_or_1_raises(self, tmp_path, flag):
+        path = tmp_path / "sel.csv"
+        path.write_text("feature_index,statistic,p_raw,p_adjusted,selected\r\n"
+                        f"1,0.5,0.5,0.5,{flag}\r\n", newline="")
+        with pytest.raises(FileFormatError, match="unparsable selection CSV"):
+            read_selection_csv(path)
 
     def test_header(self, tmp_path):
         res = select_features(np.array([0.5]), 0.05)

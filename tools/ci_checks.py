@@ -3,17 +3,22 @@
     python tools/ci_checks.py beta <run>    # a decompose run: data.txt and model.json
     python tools/ci_checks.py sigma <run>   # an rcs-gcm select run: data.txt and selection.csv
     python tools/ci_checks.py fit <decompose.out> [--newton]   # decompose's stdout
+    python tools/ci_checks.py tensor {spike,spike-tall,exact,huge} <path>   # writes a T3 file
 
 fit reads the last line that decompose printed, its "key value" pairs, and
 requires self_consistent True; with --newton also newton_steps of at least 1,
 a fit that handed over from the plain sweeps to the trust region.
 beta recomputes the run's noise precision from data.txt and model.json by
-reconstructing the model and subtracting it, and requires model.json's beta,
-which decompose took from the core without forming the residual, to agree to
-1e-12 relative.  sigma takes the null SD of the td route from the plain loop
-of tests/oracles.py (every candidate's P-values, BH and np.histogram) and
-requires selection.csv's p_raw column to be, byte for byte, the P-values at
-that SD.  Each prints one line.  btucker must be importable (installed, or
+reconstructing the model and subtracting it (tests/oracles.py), and requires
+model.json's beta, which decompose took from the core without forming the
+residual, to agree to 1e-12 relative.  sigma takes the null SD of the td
+route from the plain loop of tests/oracles.py (every candidate's P-values, BH
+and np.histogram) and requires selection.csv's p_raw column to be, byte for
+byte, the P-values at that SD.  tensor writes one of the workflow's edge-case
+tensors: spike and spike-tall, unit normals (10x4x4 and 40x4x4,
+default_rng(0)) with entry (0, 0, 0) set to 1e10; exact, an exactly
+rank-(2, 2, 2) 30x4x3 tensor; and huge, the 10x4x4 normals times 2^300.
+Each prints one line.  btucker must be importable (installed, or
 src on PYTHONPATH); tests/ is put on the path here for the oracle.
 """
 
@@ -32,7 +37,7 @@ import oracles  # noqa: E402
 def beta_check(run: str) -> bool:
     t = tensor.read_tensor(f"{run}/data.txt")
     model, meta = decomp.load_model(f"{run}/model.json")
-    beta = linalg.noise_precision(t.values - tensor.reconstruct(model).values)
+    beta = oracles.reference_residual(t, model)[1]
     print(run, "beta", meta["beta"], "explicit", beta)
     return abs(meta["beta"] - beta) <= 1e-12 * beta
 
@@ -59,15 +64,38 @@ def fit_check(out: str, newton: bool) -> bool:
     return certified and (steps >= 1 or not newton)
 
 
+def spike(n: int) -> np.ndarray:
+    x = np.random.default_rng(0).standard_normal((n, 4, 4))
+    x[0, 0, 0] = 1e10
+    return x
+
+
+def exact() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    q = [np.linalg.qr(rng.standard_normal((d, 2)))[0] for d in (30, 4, 3)]
+    return np.einsum("abc,ia,jb,kc->ijk", rng.standard_normal((2, 2, 2)), *q)
+
+
 CHECKS = {"beta": beta_check, "sigma": sigma_check}
+TENSORS = {
+    "spike": lambda: spike(10),
+    "spike-tall": lambda: spike(40),
+    "exact": exact,
+    "huge": lambda: np.random.default_rng(0).standard_normal((10, 4, 4)) * 2.0 ** 300,
+}
 
 
 def main(argv) -> int:
     if len(argv) in (2, 3) and argv[0] == "fit" and argv[2:] in ([], ["--newton"]):
         return 0 if fit_check(argv[1], newton=len(argv) == 3) else 1
+    if len(argv) == 3 and argv[0] == "tensor" and argv[1] in TENSORS:
+        t = tensor.Tensor3(TENSORS[argv[1]]())
+        tensor.write_tensor(t, argv[2])
+        print(argv[2], argv[1], "dims", t.dims)
+        return 0
     if len(argv) != 2 or argv[0] not in CHECKS:
-        print(f"usage: ci_checks.py {{{','.join(CHECKS)}}} <run> | fit <decompose.out> [--newton]",
-              file=sys.stderr)
+        print(f"usage: ci_checks.py {{{','.join(CHECKS)}}} <run> | fit <decompose.out> [--newton]"
+              f" | tensor {{{','.join(TENSORS)}}} <path>", file=sys.stderr)
         return 2
     return 0 if CHECKS[argv[0]](argv[1]) else 1
 
