@@ -113,20 +113,22 @@ class FitReport:
     """Convergence bookkeeping for a solver run.
 
     sweeps counts the sweeps (for :func:`hooi`, the plain ones, not its
-    trust-region steps), and residual_history[0] is the error of the initial
-    model (for :func:`hooi`, the HOSVD's U2 and U3 with their optimal U1)
-    with one entry per sweep after it.  The history does not rise, except at
-    the rounding level of a residual formed from the data (near-exact fits).
-    stop_reason names the criterion that ended the run: "factor_tol" (the
-    largest entrywise factor change fell below its bound, for :func:`hooi`
-    once the relative residual change had fallen below tol) or "max_iter"
-    (the budget ran out, converged is False).  newton_steps
-    counts :func:`hooi`'s kept trust-region steps.  final_factor_change is
-    the last largest entrywise factor change the solver measured, None if it
-    measured none (:func:`hooi` measures it only once the residual criterion
-    holds).  final_gradient_norm is the norm of the Riemannian gradient of
-    ||core||^2 at :func:`hooi`'s last trust-region point, None if the trust
-    region never ran.
+    trust-region steps: its first sweep and the one that ends a trust-region
+    finish, plus those where the Hessian is undefined), and
+    residual_history[0] is the error of the initial model (for :func:`hooi`,
+    the HOSVD's U2 and U3 with their optimal U1) with one entry per sweep
+    after it.  The history does not rise, except at the rounding level of a
+    residual formed from the data (near-exact fits).  stop_reason names the
+    criterion that ended the run: "factor_tol" (the largest entrywise factor
+    change fell below its bound) or "max_iter" (the budget ran out,
+    converged is False).  newton_steps counts :func:`hooi`'s kept
+    trust-region steps.  final_factor_change is the last largest entrywise
+    factor change the solver measured, None if it measured none
+    (:func:`hooi` measures one after its first sweep and after every kept
+    step; its plain sweeps where the Hessian is undefined measure one only
+    once the relative residual change is below tol).  final_gradient_norm is
+    the norm of the Riemannian gradient of ||core||^2 at :func:`hooi`'s last
+    trust-region point, None if the trust region never ran.
     self_consistent / max_mode_deviation stay None ("not checked") until a
     caller fills them in from :func:`self_consistency_check`.
     """
@@ -563,30 +565,34 @@ def hooi(
     tol: float = DEFAULT_TOL,
     factor_tol: float = DEFAULT_FACTOR_TOL,
 ) -> tuple[TuckerModel, FitReport]:
-    """Higher-order orthogonal iteration from an HOSVD start, finished by a trust region.
+    """One sweep of higher-order orthogonal iteration from an HOSVD start, then a trust region.
 
-    Each sweep (:class:`_Sweeper`) updates every factor to the leading left
+    A sweep (:class:`_Sweeper`) updates every factor to the leading left
     singular vectors of the contracted unfolding, then re-solves the core.
-    Plain sweeps run from the HOSVD's U2 and U3 until the change of the
-    relative reconstruction error (residual Frobenius norm over the input
-    norm) falls below `tol`; the fit stops there if the largest entrywise
-    factor change of the sweep is also below `factor_tol`.  The residual
-    alone flattens long before near-degenerate trailing components stop
-    rotating; the regression fixed point that :func:`self_consistency_check`
-    certifies is reached only once the factors themselves stop moving.
+    One plain sweep runs from the HOSVD's U2 and U3; the fit stops there if
+    it changes no factor entry by `factor_tol` or more, as on exactly
+    low-rank data.  Otherwise trust-region steps (:func:`_trust_region_step`)
+    take over at once, and run until a kept step moves U2 and U3, and then
+    the U1 lift, by less than `factor_tol`; one plain sweep from that point
+    gives U2 and U3 in the sweeps' basis.  The fit is a local maximum of
+    ||core||^2 reached from the HOSVD start; plain sweeps from that start,
+    which close in linearly at about 0.995 per sweep, may reach another.  The
+    regression fixed point that :func:`self_consistency_check` certifies
+    needs the factors themselves to stop moving, not only the residual to
+    flatten.
 
-    Where the residual criterion holds but the factors still move, plain
-    sweeps would close the rest of the way linearly, at about 0.995 per
-    sweep.  Trust-region steps (:func:`_trust_region_step`) take over there,
-    until a kept step moves U2 and U3, and then the U1 lift, by less than
-    `factor_tol`; one plain sweep from that point gives U2 and U3 in the
-    sweeps' basis.  Where the L1-th and (L1+1)-th eigenvalues of A^T A meet
-    (see :class:`_CoreNorm`), the Hessian is undefined and the fit keeps
-    sweeping plainly.  `max_iter` bounds sweeps and trust-region steps
-    together.  The returned U1 is computed once from the data, as the top
-    left singular vectors of unfold(t, 1) W for the W that V1 came from, and
-    the returned core from the returned factors.  Data whose squared norm
-    overflows raise FloatingPointError before any of this.
+    Where the L1-th and (L1+1)-th eigenvalues of A^T A meet (see
+    :class:`_CoreNorm`), the Hessian is undefined and the fit sweeps
+    plainly.  There, and only there, `tol` gates the factor check: a sweep's
+    factor change is measured once the change of the relative reconstruction
+    error (residual Frobenius norm over the input norm) has fallen below
+    `tol`, and the trust region is tried again whenever the factors still
+    move.  `max_iter` bounds sweeps and trust-region steps together.
+
+    The returned U1 is computed once from the data, as the top left singular
+    vectors of unfold(t, 1) W for the W that V1 came from, and the returned
+    core from the returned factors.  Data whose squared norm overflows raise
+    FloatingPointError before any of this.
     """
     ranks = _validate_ranks(t.dims, ranks)
     if max_iter < 1:
@@ -605,7 +611,8 @@ def hooi(
             previous_w, w = w, (u2, u3)
             u2, u3 = sweeper.sweep(*w)
             history = sweeper.history
-            if not abs(history[-2] - history[-1]) / sweeper.scale < tol:
+            # the first sweep hands over at once; a degenerate point's sweeps wait for tol
+            if len(history) > 2 and not abs(history[-2] - history[-1]) / sweeper.scale < tol:
                 continue
             change = max(float(np.max(np.abs(a - b))) for a, b in zip((u2, u3), w))
             moved = sweeper.factor_change(change, w, previous_w)

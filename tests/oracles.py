@@ -7,7 +7,9 @@ the residual of the reconstructed model (:func:`reference_residual`).
 reference_hosvd is the exception: the truncated HOSVD that tests start their
 solvers from, built by btucker.decomp's own top-vector and core helpers.
 SwappedCoreNorm is the trust region's kernel with R x2 U2 formed from a
-mode-2/3-swapped copy of R.
+mode-2/3-swapped copy of R, and reference_tangent_hessian the dense matrix of
+that kernel's Hessian on an orthonormal basis of the tangent space, whose
+largest eigenvalue tells a local maximum from a saddle.
 reference_text_file is the per-value text writer that btucker.tensor's block
 writer must match byte for byte; reference_coupling_matrix draws the coupled
 maps' coupling rows one new generator at a time; reference_matrix_report plots
@@ -18,6 +20,7 @@ null-SD search as a plain loop over every candidate's P-values.
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from btucker import datagen, linalg, select
 from btucker.decomp import (ORTHONORMALITY_TOL, TuckerModel, _contracted, _CoreNorm,
@@ -79,12 +82,14 @@ def reference_top_vectors(y, rank):
     return linalg.svd(y.reshape(y.shape[0], -1), rank=rank).U.T
 
 
-def reference_hooi(t, ranks, max_iter, tol, factor_tol):
+def reference_hooi(t, ranks, max_iter, tol, factor_tol, init=None):
     """Textbook HOOI: einsum contractions and linalg.svd top vectors on the full tensor.
 
-    No Gram matrix and no trust-region finish; starts from the textbook HOSVD's U2
-    and U3 with their optimal U1 (:func:`reference_optimal_u1`), and stops by the
-    same two criteria as hooi.  Returns (model, residual history).
+    No Gram matrix and no trust-region finish; starts from init, a (U2, U3) pair,
+    or by default from the textbook HOSVD's U2 and U3, with their optimal U1
+    (:func:`reference_optimal_u1`).  It stops once the relative residual change
+    is below tol and the largest entrywise factor change below factor_tol, or
+    after max_iter sweeps.  Returns (model, residual history).
     """
     x = t.values
     scale = np.linalg.norm(x)
@@ -94,8 +99,9 @@ def reference_hooi(t, ranks, max_iter, tol, factor_tol):
         approx = np.einsum("abc,ai,bj,ck->ijk", core, u1, u2, u3, optimize=True)
         return core, float(np.linalg.norm(x - approx))
 
-    u = [linalg.svd(unfold(t, m), rank=r).U.T for m, r in zip((2, 3), ranks[1:])]
-    u = [reference_optimal_u1(t, *u, ranks[0]), *u]
+    if init is None:
+        init = [linalg.svd(unfold(t, m), rank=r).U.T for m, r in zip((2, 3), ranks[1:])]
+    u = [reference_optimal_u1(t, *init, ranks[0]), *init]
     core, res = fit(*u)
     history = [res]
     for _ in range(max_iter):
@@ -122,6 +128,24 @@ def reference_core_norm(t, u2, u3, l1):
     u1 = reference_optimal_u1(t, u2, u3, l1)
     core = np.einsum("ijk,ai,bj,ck->abc", t.values, u1, u2, u3, optimize=True)
     return float(np.sum(core * core))
+
+
+def reference_tangent_hessian(t, model):
+    """The dense Riemannian Hessian of ||core||^2 at the model's (U2, U3), U1 optimal.
+
+    Its (i, j) entry is <e_i, Hess e_j> for the orthonormal basis e of the
+    tangent space at (U2, U3): row a of the mode's factor moved along row b of
+    Q_perp, an orthonormal basis of the rows' complement, one mode at a time,
+    L2 (M - L2) + L3 (K - L3) vectors in all.  Each column is one product of
+    _CoreNorm's Hessian on the data itself, which TestCoreNorm checks against
+    central differences of :func:`reference_core_norm`.  Its largest eigenvalue
+    is negative at a strict local maximum.
+    """
+    point = _CoreNorm(t.values, model.u2, model.u3, model.ranks[0])
+    # row (a, b) of kron(I, Q_perp), raveled like u, moves row a of u along row b of Q_perp
+    basis = block_diag(*(np.kron(np.eye(len(u)), np.linalg.qr(u.T, mode="complete")[0][:, len(u):].T)
+                         for u in (model.u2, model.u3)))
+    return basis @ np.array([point.hessian(e) for e in basis]).T
 
 
 class SwappedCoreNorm(_CoreNorm):

@@ -3,11 +3,15 @@
     python tools/ci_checks.py beta <run>    # a decompose run: data.txt and model.json
     python tools/ci_checks.py sigma <run>   # an rcs-gcm select run: data.txt and selection.csv
     python tools/ci_checks.py fit <decompose.out> [--newton]   # decompose's stdout
+    python tools/ci_checks.py local-max <data> <model.json>   # a decompose run's fit
     python tools/ci_checks.py tensor {spike,spike-tall,exact,huge} <path>   # writes a T3 file
 
 fit reads the last line that decompose printed, its "key value" pairs, and
 requires self_consistent True; with --newton also newton_steps of at least 1,
-a fit that handed over from the plain sweeps to the trust region.
+a fit that finished by the trust region.  local-max builds the dense tangent
+Hessian of ||core||^2 at model.json's (U2, U3) (tests/oracles.py) and
+requires its largest eigenvalue to be at most 1e3 eps ||core||^2, the trust
+region's rounding level: the certified fit is a strict local maximum.
 beta recomputes the run's noise precision from data.txt and model.json by
 reconstructing the model and subtracting it (tests/oracles.py), and requires
 model.json's beta, which decompose took from the core without forming the
@@ -64,6 +68,16 @@ def fit_check(out: str, newton: bool) -> bool:
     return certified and (steps >= 1 or not newton)
 
 
+def local_max_check(data: str, model_path: str) -> bool:
+    t = tensor.read_tensor(data)
+    model, _ = decomp.load_model(model_path)
+    core_sq = float(np.sum(model.core ** 2))
+    lam_max = float(np.linalg.eigvalsh(oracles.reference_tangent_hessian(t, model))[-1])
+    margin = 1e3 * np.finfo(float).eps * core_sq
+    print(model_path, "hessian_max_eig", lam_max, "margin", margin)
+    return lam_max <= margin
+
+
 def spike(n: int) -> np.ndarray:
     x = np.random.default_rng(0).standard_normal((n, 4, 4))
     x[0, 0, 0] = 1e10
@@ -88,6 +102,8 @@ TENSORS = {
 def main(argv) -> int:
     if len(argv) in (2, 3) and argv[0] == "fit" and argv[2:] in ([], ["--newton"]):
         return 0 if fit_check(argv[1], newton=len(argv) == 3) else 1
+    if len(argv) == 3 and argv[0] == "local-max":
+        return 0 if local_max_check(argv[1], argv[2]) else 1
     if len(argv) == 3 and argv[0] == "tensor" and argv[1] in TENSORS:
         t = tensor.Tensor3(TENSORS[argv[1]]())
         tensor.write_tensor(t, argv[2])
@@ -95,7 +111,8 @@ def main(argv) -> int:
         return 0
     if len(argv) != 2 or argv[0] not in CHECKS:
         print(f"usage: ci_checks.py {{{','.join(CHECKS)}}} <run> | fit <decompose.out> [--newton]"
-              f" | tensor {{{','.join(TENSORS)}}} <path>", file=sys.stderr)
+              f" | local-max <data> <model.json> | tensor {{{','.join(TENSORS)}}} <path>",
+              file=sys.stderr)
         return 2
     return 0 if CHECKS[argv[0]](argv[1]) else 1
 
