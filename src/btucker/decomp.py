@@ -3,7 +3,10 @@
 Two routes to the same decomposition: :func:`hooi`, higher-order orthogonal
 iteration (:class:`_Sweeper`) from the mode-2 and mode-3 factors of the HOSVD,
 finished by Riemannian trust-region Newton steps on the exact Hessian of
-||core||^2 (:func:`_trust_region_step`), and :func:`btud_fit`, which updates
+||core||^2 (:func:`_trust_region_step`), which depends on the data only
+through G = X(1)^T X(1): each point contracts G, or X(1) where N < M*K, and
+a Hessian product contracts only arrays no larger than G or X(1)
+(:class:`_CoreNorm`); and :func:`btud_fit`, which updates
 each factor row as a (possibly ridge-regularized) least-squares coefficient
 against the design Phi built from the core and the other two factors,
 re-orthonormalizes it and re-solves the core after every component.
@@ -285,59 +288,50 @@ def _top_left_vectors(b, rank: int, gram: np.ndarray | None = None) -> np.ndarra
 class _CoreNorm:
     """f(U2, U3) = ||core||^2 with U1 optimal, its Riemannian gradient and Hessian.
 
-    R is the data or any R with R^T R = X(1)^T X(1): f, its gradient and
-    its Hessian depend on R only through R^T R.  At
-    row-orthonormal (u2, u3), A = R x2 U2 x3 U3 unfolded along mode 1
-    (the kernel's Y(1), columns (c, b)), lambda and W the top-l1 eigenpairs
-    of A^T A and W_ the rest, so f = sum(lambda) and the optimal U1 is
-    V1 = A W Lambda^-1/2.  With H = W (A W)^T R(1), the Euclidean gradient
-    is e2 = 2 H contracted with U3 (e3 likewise with U2), and the Riemannian
-    one is e projected off the rows of U.  Along a tangent xi, the top
-    eigenspace turns by W_ X with X = (W_^T dS W) / (lambda_a - lambda_b),
-    dS = dA^T A + A^T dA, so dH = W (dA W + A W_ X)^T R(1) + W_ X (A W)^T R(1),
-    and the Hessian is P(De[xi]) - (e U^T) xi on the Grassmann quotient
-    (Absil, Mahony & Sepulchre 2008).  Every contraction with R, the C-ordered
-    (N', M, K) array `work`, runs once per point: R x3 U3 through
-    :func:`_contracted`, R x2 U2 as one batched product U2 R[i] per slice,
-    each with the identity in the other mode, and T = (A W)^T R(1); a Hessian
-    product then only contracts these with small matrices.  Tangents are
-    (xi2, xi3) raveled into one vector.  `degenerate` is True when
-    lambda_L1 - lambda_L1+1 <= NOISE_FLOOR * lambda_1, where X is undefined.
-    A point whose f or gradient norm is not finite, as where the data's scale
-    overflows them, raises FloatingPointError.
+    All three depend on the data only through G = X(1)^T X(1).  At
+    row-orthonormal (u2, u3), let A = X(1) (U2 kron U3)^T (the kernel's Y(1),
+    columns (c, b)), lambda and W the top-l1 eigenpairs of A^T A, W_ the rest
+    and S = W W^T: f = sum(lambda), the optimal U1 is V1 = A W Lambda^-1/2,
+    and with P = A^T X(1) = (U2 kron U3) G the Euclidean gradient is e2 =
+    2 S P contracted with U3 on k and traced over c (e3 likewise with U2 on
+    j, traced over b); the Riemannian one is e projected off the rows of U.
+
+    Along a tangent xi, dA = X(1) dW^T with dW = xi2 kron U3 + U2 kron xi3,
+    the top eigenspace turns by W_ X with X = (W_^T dS W) / (lambda_a -
+    lambda_b), dS = dA^T A + A^T dA, and S P moves by S dW G + (W_ X W^T +
+    W X^T W_^T) P; with the move of U3 and U2 themselves in e's contractions,
+    that is De[xi], and the Hessian is De[xi] projected onto the tangent
+    space, less (e U^T) xi, on the Grassmann quotient (Absil, Mahony &
+    Sepulchre 2008).  Tangents are (xi2, xi3) raveled into one vector.
+
+    :meth:`_Sweeper.point` builds a point from the shape, and neither kind
+    holds an array larger than the data the sweeper already holds:
+    :class:`_GramCoreNorm` contracts G where N >= M*K, and
+    :class:`_DataCoreNorm` contracts X(1) where N < M*K and there is no G.
+    `degenerate` is True when lambda_L1 - lambda_L1+1 <= NOISE_FLOOR *
+    lambda_1, where X is undefined.  A point whose f or gradient norm is not
+    finite, as where the data's scale overflows them, raises
+    FloatingPointError.
     """
 
-    def __init__(self, work: np.ndarray, u2, u3, l1: int):
-        (l2, m), (l3, k) = u2.shape, u3.shape
-        self.work, self.u2, self.u3 = work, u2, u3
-        # (N', L3 * M) and (N', L2 * K), columns (c, j) and (b, k)
-        self.ru3 = _contracted(work, None, None, u3, mode=1)
-        self.ru2 = np.matmul(u2, work).reshape(len(work), -1)
-        self.a = (self.ru3.reshape(-1, m) @ u2.T).reshape(-1, l3 * l2)
-        lam, vecs = np.linalg.eigh(self.a.T @ self.a)
+    def _eigen(self, ata: np.ndarray, l1: int) -> None:
+        """lambda, W, W_, f and `degenerate` from A^T A."""
+        lam, vecs = np.linalg.eigh(ata)
         below = lam[-l1 - 1] if l1 < lam.size else 0.0
         self.degenerate = not lam[-l1] - below > NOISE_FLOOR * lam[-1]
         self.w, self.lam, self.w_, self.lam_ = vecs[:, -l1:], lam[-l1:], vecs[:, :-l1], lam[:-l1]
         self.f = float(np.sum(self.lam))
-        self.aw = self.a @ self.w
-        self.e2, self.e3 = self._contract(self.aw @ self.w.T)
-        self.grad = self._project(self.e2, self.e3)
+
+    def _gradient(self, e2: np.ndarray, e3: np.ndarray) -> None:
+        self.e2, self.e3 = e2, e3
+        self.grad = self._project(e2, e3)
         if not (np.isfinite(self.f) and np.isfinite(np.linalg.norm(self.grad))):
             raise FloatingPointError("non-finite values during HOOI iteration")
 
-    @functools.cached_property
-    def _t(self) -> tuple[np.ndarray, np.ndarray]:
-        """T = (A W)^T R(1) as (L1 * M, K) and, transposed, as (M, L1 * K)."""
-        r = self.work
-        t = (self.aw.T @ r.reshape(r.shape[0], -1)).reshape(-1, *r.shape[1:])
-        return t.reshape(-1, r.shape[2]), t.transpose(1, 0, 2).reshape(r.shape[1], -1)
-
-    def _contract(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """2 d^T R(1), d with Y(1)'s shape, contracted with U3 (mode 2) and with U2 (mode 3)."""
-        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
-        d = d.reshape(-1, l3, l2)
-        return (2 * d.reshape(-1, l2).T @ self.ru3.reshape(-1, m),
-                2 * d.transpose(0, 2, 1).reshape(-1, l3).T @ self.ru2.reshape(-1, k))
+    def _turn(self, ds: np.ndarray) -> np.ndarray:
+        """W_ X, the top eigenspace's turn along xi, from dS's half dA^T A."""
+        gaps = self.lam[None, :] - self.lam_[:, None]
+        return self.w_ @ ((self.w_.T @ (ds + ds.T) @ self.w) / gaps)
 
     def _project(self, d2, d3) -> np.ndarray:
         """(d2, d3) projected off the rows of (u2, u3), raveled into one tangent vector."""
@@ -348,30 +342,142 @@ class _CoreNorm:
         return xi[: self.u2.size].reshape(self.u2.shape), xi[self.u2.size:].reshape(self.u3.shape)
 
     def hessian(self, xi: np.ndarray) -> np.ndarray:
-        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
         # the tangent part only: the (e U^T) xi term would grow any rounding off the
         # tangent space by |e U^T| (about 2 ||core||^2) per product, and stall truncated CG
         x2, x3 = self.split(self._project(*self.split(xi)))
+        de2, de3 = self._ambient(x2, x3)
+        shift2, shift3 = (self.e2 @ self.u2.T) @ x2, (self.e3 @ self.u3.T) @ x3
+        return self._project(de2, de3) - np.concatenate((shift2.ravel(), shift3.ravel()))
+
+
+class _GramCoreNorm(_CoreNorm):
+    """The trust region's point where N >= M*K: contractions of G, none larger than G.
+
+    Each point forms P^T = G (U2 kron U3)^T (`pt`, (M*K, L3*L2)) by one
+    contraction of G with U3, G (I kron U3)^T (`r3`, columns (c, j)), and
+    one with U2; A^T A = (U2 kron U3) P^T.  P^T contracted with U3 on k
+    (`qt`, [j, c, (c', b')]) and with U2 on j (`q2t`, [b, k, (c', b')])
+    gives e, and in a product dS's half dA^T A = dW P^T and the turn's
+    share of De[xi].  A point that truncated CG runs on forms, once
+    (:attr:`_maps`; a rejected trial never does), the Gram blocks
+    C33 = (I kron U3) G (I kron U3)^T, C23 = (U2 kron I) G (I kron U3)^T and
+    C22 = (U2 kron I) G (U2 kron I)^T, C22 by one more contraction of G, and
+    S P laid out as a (L2*M, L3*K) map; a product contracts x2 and x3 with
+    the blocks, which gives dW G contracted with U3 or U2, then with S.
+    """
+
+    def __init__(self, sweeper: _Sweeper, u2, u3):
+        (l2, m), (l3, k) = u2.shape, u3.shape
+        self.sweeper, self.u2, self.u3 = sweeper, u2, u3
+        self.r3 = _contracted(sweeper.gram, None, None, u3, mode=1)
+        self.pt = (self.r3.reshape(-1, m) @ u2.T).reshape(m * k, -1)  # rows (j, k), columns (c, b)
+        self.qt = np.matmul(u3, self.pt.reshape(m, k, -1))
+        self.q2t = (u2 @ self.pt.reshape(m, -1)).reshape(l2, k, -1)
+        ata = (u2 @ self.qt.reshape(m, -1)).reshape(l2, l3, -1).transpose(1, 0, 2)
+        self._eigen(ata.reshape(l3 * l2, -1), sweeper.ranks[0])
+        self.s = self.w @ self.w.T
+        self._gradient(*self._traced(2 * self.s))
+
+    def _traced(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d P, d (L3*L2)-square, contracted with U3 on k and traced over c, and with U2 on j over b."""
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        d = d.reshape(l3, l2, -1)
+        return (d.transpose(1, 0, 2).reshape(l2, -1) @ self.qt.reshape(m, -1).T,
+                d.reshape(l3, -1) @ self.q2t.transpose(1, 0, 2).reshape(k, -1).T)
+
+    @functools.cached_property
+    def _maps(self) -> tuple[np.ndarray, ...]:
+        """The Gram blocks, each with its first axis the one x2 or x3 contracts; 2 S laid
+        out for each of their products; and 2 S P."""
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        # the blocks hold all that products need of r3, which the point then lets go
+        (r3, self.r3), gram = (self.r3, None), self.sweeper.gram
+        # C33 [j, c, c', j'] is symmetric, so x2 contracts it as it is formed
+        c33 = np.matmul(self.u3, r3.reshape(m, k, -1)).reshape(m, -1)
+        c23 = (self.u2 @ r3.reshape(m, -1)).reshape(l2, k, l3, m)  # [b, k, c, j]
+        c22 = np.matmul(self.u2, (self.u2 @ gram.reshape(m, -1)).reshape(l2 * k, m, k))
+        s4 = 2 * self.s.reshape(l3, l2, l3, l2)  # [c, b, c', b']
+        # 2 S P as [(b, j), (c, k)]: the move of e2 through U3 along xi3, and of e3 along xi2
+        sp = 2 * (self.pt @ self.s).reshape(m, k, l3, l2).transpose(3, 0, 2, 1)
+        return (c33,  # x2 @ it: rows (b', c', c), columns j'
+                c23.transpose(3, 0, 2, 1).reshape(m, -1),  # x2: rows (b', b, c'), columns k
+                c23.transpose(1, 0, 2, 3).reshape(k, -1),  # x3: rows (c', b', c), columns j
+                c22.reshape(l2, k, l2, k).transpose(3, 0, 2, 1).reshape(k, -1),  # x3: (c', b, b')
+                s4.transpose(1, 3, 2, 0).reshape(l2, -1), s4.transpose(0, 3, 1, 2).reshape(l3, -1),
+                s4.transpose(1, 2, 3, 0).reshape(l2, -1), s4.transpose(0, 2, 1, 3).reshape(l3, -1),
+                sp.reshape(l2 * m, l3 * k))
+
+    def _ambient(self, x2, x3) -> tuple[np.ndarray, np.ndarray]:
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        c33, c23, c32, c22, s33, s23, s32, s22, sp = self._maps
+        # dW G contracted with U3 (de2) and with U2 (de3), then with 2 S
+        de2 = (s33 @ (x2 @ c33).reshape(-1, m) + s32 @ (x3 @ c32).reshape(-1, m)
+               + (sp @ x3.ravel()).reshape(l2, m))
+        de3 = (s23 @ (x2 @ c23).reshape(-1, k) + s22 @ (x3 @ c22).reshape(-1, k)
+               + (x2.ravel() @ sp).reshape(l3, k))
+        # dA^T A = dW P^T, rows (c, b)
+        ds = ((x3 @ self.q2t.transpose(1, 0, 2).reshape(k, -1)).reshape(l3, l2, -1)
+              + (x2 @ self.qt.reshape(m, -1)).reshape(l2, l3, -1).transpose(1, 0, 2))
+        z = self._turn(ds.reshape(l3 * l2, -1)) @ self.w.T
+        turn2, turn3 = self._traced(2 * (z + z.T))
+        return de2 + turn2, de3 + turn3
+
+
+class _DataCoreNorm(_CoreNorm):
+    """The trust region's point where N < M*K: contractions of X(1), none larger than the data.
+
+    Every contraction with X(1) runs once per point: X(1) (I kron U3)^T
+    through :func:`_contracted` (`ru3`, columns (c, j)), X(1) (U2 kron I)^T
+    as one batched product U2 X[i] per slice (`ru2`, columns (b, k)), A, and
+    T = (A W)^T X(1) when a product first needs it; a product then contracts
+    these with x2, x3 and small matrices: dA = ru3 x2 + ru2 x3, the turn
+    from dA^T A, d(S P) = (dA S + A (W_ X W^T + W X^T W_^T))^T X(1)
+    contracted through ru3 and ru2, and the move of U3 and U2 through T.
+    """
+
+    def __init__(self, sweeper: _Sweeper, u2, u3):
+        (l2, m), (l3, k) = u2.shape, u3.shape
+        self.sweeper, self.u2, self.u3 = sweeper, u2, u3
+        x = sweeper.x
+        self.ru3 = _contracted(x, None, None, u3, mode=1)
+        self.ru2 = np.matmul(u2, x).reshape(len(x), -1)
+        self.a = (self.ru3.reshape(-1, m) @ u2.T).reshape(len(x), -1)
+        self._eigen(self.a.T @ self.a, sweeper.ranks[0])
+        self.aw = self.a @ self.w
+        self._gradient(*self._contract(2 * self.aw @ self.w.T))
+
+    @functools.cached_property
+    def _t(self) -> tuple[np.ndarray, np.ndarray]:
+        """T = (A W)^T X(1) as (L1 * M, K) and, transposed, as (M, L1 * K)."""
+        x = self.sweeper.x
+        t = (self.aw.T @ self.sweeper.x1).reshape(-1, *x.shape[1:])
+        return t.reshape(-1, x.shape[2]), t.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    def _contract(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d^T X(1), d with Y(1)'s shape, contracted with U3 (mode 2) and with U2 (mode 3)."""
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        d = d.reshape(-1, l3, l2)
+        return (d.reshape(-1, l2).T @ self.ru3.reshape(-1, m),
+                d.transpose(0, 2, 1).reshape(-1, l3).T @ self.ru2.reshape(-1, k))
+
+    def _ambient(self, x2, x3) -> tuple[np.ndarray, np.ndarray]:
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
         # contiguous transposes: numpy runs these small products about twice as fast
         x2t, x3t = np.ascontiguousarray(x2.T), np.ascontiguousarray(x3.T)
         da2 = (self.ru3.reshape(-1, m) @ x2t).reshape(-1, l3, l2)
         da3 = (self.ru2.reshape(-1, k) @ x3t).reshape(-1, l2, l3).transpose(0, 2, 1)
         da = (da2 + da3).reshape(-1, l3 * l2)
-        ds = da.T @ self.a
-        gaps = self.lam[None, :] - self.lam_[:, None]
-        x = self.w_ @ ((self.w_.T @ (ds + ds.T) @ self.w) / gaps)  # W_ X
-        # dH = (W (dA W + A W_ X)^T + W_ X (A W)^T) R(1)
-        de2, de3 = self._contract((da @ self.w + self.a @ x) @ self.w.T + self.aw @ x.T)
-        # e2 and e3 moved through U3 and U2 themselves: H = W T contracted with xi3 and xi2
+        x = self._turn(da.T @ self.a)
+        de2, de3 = self._contract(2 * ((da @ self.w + self.a @ x) @ self.w.T + self.aw @ x.T))
+        # e2 and e3 moved through U3 and U2 themselves: 2 W T contracted with xi3 and xi2
         w, (t, t_) = self.w.reshape(l3, l2, -1), self._t
         de2 += 2 * np.einsum("cba,ajc->bj", w, (t @ x3t).reshape(-1, m, l3))
         de3 += 2 * np.einsum("cba,bak->ck", w, (x2 @ t_).reshape(l2, -1, k))
-        shift2, shift3 = (self.e2 @ self.u2.T) @ x2, (self.e3 @ self.u3.T) @ x3
-        return self._project(de2, de3) - np.concatenate((shift2.ravel(), shift3.ravel()))
+        return de2, de3
 
 
 class _Sweeper:
-    """hooi's plain sweeps and the data they read: X(1), ||x||, G and the trust region's R.
+    """hooi's plain sweeps and the data they and the trust region read: X(1), ||x|| and G.
 
     A sweep from (U2, U3) contracts the data at most once.  Mode 1 contracts
     it with the mode-2/3 factors, A = X(1) W^T with W their Kronecker product
@@ -388,8 +494,10 @@ class _Sweeper:
     vectors of A from the data instead, through :meth:`lift`.  When N < M*K,
     G would be larger than the data, and each sweep forms A and Z from the
     data and V1 from A.  Other top vectors come from the smaller Gram matrix.
-    `history` holds the residual of the start with its optimal U1, which
-    bounds the first sweep's from above, then one entry per sweep.
+    The trust region's points (:meth:`point`) contract the same G, or X(1)
+    where there is no G; no factor of G is formed.  `history` holds
+    the residual of the start with its optimal U1, which bounds the first
+    sweep's from above, then one entry per sweep.
     """
 
     def __init__(self, t: Tensor3, ranks: tuple[int, int, int], factor_tol: float):
@@ -415,6 +523,10 @@ class _Sweeper:
         g4 = self.gram.reshape(self.gram.shape[1:] * 2)
         return (_top_left_vectors(lambda: unfold(t, 2), l2, np.trace(g4, axis1=1, axis2=3)),
                 _top_left_vectors(lambda: unfold(t, 3), l3, np.trace(g4, axis1=0, axis2=2)))
+
+    def point(self, u2, u3) -> _CoreNorm:
+        """The trust region's point at (u2, u3): it contracts G, or X(1) where there is no G."""
+        return (_DataCoreNorm if self.gram is None else _GramCoreNorm)(self, u2, u3)
 
     def lift(self, w2, w3) -> np.ndarray:
         """U1 from the data: the top-L1 left singular vectors of X(1) W, W from w2 and w3."""
@@ -442,22 +554,6 @@ class _Sweeper:
         if not np.isfinite(r2):
             raise FloatingPointError("non-finite values during HOOI iteration")
         return float(np.sqrt(r2))
-
-    @functools.cached_property
-    def trust_data(self) -> np.ndarray:
-        """The trust region's R (R^T R = G), C-ordered (N', M, K).
-
-        Formed once, when the trust region first starts: R is the Cholesky
-        factor of G, the R of a QR of X(1) where G is not numerically positive
-        definite (M*K rows either way), and X(1) itself where there is no G.
-        """
-        if self.gram is None:
-            return self.x
-        try:
-            r = np.linalg.cholesky(self.gram.reshape(len(self.gram), -1)).T.copy()
-        except np.linalg.LinAlgError:
-            r = np.linalg.qr(self.x1, mode="r")
-        return r.reshape(self.gram.shape)
 
     def sweep(self, in2, in3) -> tuple[np.ndarray, np.ndarray]:
         """One plain sweep from (in2, in3): the new U2 and U3, whose residual joins history."""
@@ -536,9 +632,10 @@ def _trust_region_step(sweeper: _Sweeper, point: _CoreNorm,
 
     It maximizes ||core||^2 over the Grassmann pair (U2, U3) with U1 optimal,
     on :class:`_CoreNorm`'s exact gradient and Hessian, the step from
-    :func:`_truncated_cg` and retracted by QR.  Every quantity there is
-    bilinear in X(1), so it runs on any R with R^T R = G
-    (:attr:`_Sweeper.trust_data`).  The step is kept when the ratio of
+    :func:`_truncated_cg` and retracted by QR.  Every quantity there depends
+    on the data only through G, so each point (:meth:`_Sweeper.point`)
+    contracts the sweeper's G, or X(1) where there is none, and holds no
+    array larger than it.  The step is kept when the ratio of
     actual to predicted increase, both offset by 1e3 eps |f| against
     cancellation, exceeds 0.1; the radius is quartered below a ratio of 0.25
     and doubled, up to TR_RADIUS, above 0.75 for a step of at least 0.99 of
@@ -548,8 +645,7 @@ def _trust_region_step(sweeper: _Sweeper, point: _CoreNorm,
     noise = 1e3 * np.finfo(float).eps * abs(point.f)  # rounding level of f and its gradient
     step, predicted = _truncated_cg(point, radius, noise)
     step2, step3 = point.split(step)
-    trial = _CoreNorm(sweeper.trust_data, _retract(point.u2, step2), _retract(point.u3, step3),
-                      sweeper.ranks[0])
+    trial = sweeper.point(_retract(point.u2, step2), _retract(point.u3, step3))
     rho = (trial.f - point.f + noise) / (predicted + noise)
     if rho < 0.25:
         radius /= 4
@@ -621,14 +717,15 @@ def hooi(
             if trial is None:
                 continue
             newton_steps += 1
-            moved = sweeper.factor_change(change, (trial.u2, trial.u3), (u2, u3))
-            point, (u2, u3) = trial, (trial.u2, trial.u3)
+            # the previous point, and its Hessian's arrays, go before the U1 lifts read the data
+            point, previous, (u2, u3) = trial, (u2, u3), (trial.u2, trial.u3)
+            moved = sweeper.factor_change(change, (u2, u3), previous)
             w = (u2, u3)  # V1 is the point's own optimal U1
             gradient_norm = float(np.linalg.norm(point.grad))
         if moved < factor_tol:
             break
         if point is None:
-            point = _CoreNorm(sweeper.trust_data, u2, u3, ranks[0])
+            point = sweeper.point(u2, u3)
         if point.degenerate:
             point = None
 

@@ -6,10 +6,14 @@ design, the SVD pseudoinverse with its own cutoff (:func:`pseudoinverse`) and
 the residual of the reconstructed model (:func:`reference_residual`).
 reference_hosvd is the exception: the truncated HOSVD that tests start their
 solvers from, built by btucker.decomp's own top-vector and core helpers.
-SwappedCoreNorm is the trust region's kernel with R x2 U2 formed from a
-mode-2/3-swapped copy of R, and reference_tangent_hessian the dense matrix of
-that kernel's Hessian on an orthonormal basis of the tangent space, whose
-largest eigenvalue tells a local maximum from a saddle.
+ReferenceCoreNorm is ||core||^2, its gradient and its Hessian contracted from
+the data (or any R with R^T R = X(1)^T X(1)) at every point and every product,
+the kernel that btucker.decomp._GramCoreNorm regroups into Gram blocks of G
+(where N < M*K, btucker.decomp._DataCoreNorm runs the same algorithm), and
+reference_tangent_hessian the dense matrix of the reference's Hessian on an
+orthonormal basis of the tangent space, whose largest eigenvalue tells a local
+maximum from a saddle; kernel_deviations measures btucker's kernel against the
+reference.
 reference_text_file is the per-value text writer that btucker.tensor's block
 writer must match byte for byte; reference_coupling_matrix draws the coupled
 maps' coupling rows one new generator at a time; reference_matrix_report plots
@@ -17,15 +21,16 @@ a matrix run from the SVD of its re-read data; reference_sigma_objectives is the
 null-SD search as a plain loop over every candidate's P-values.
 """
 
+import functools
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from btucker import datagen, linalg, select
-from btucker.decomp import (ORTHONORMALITY_TOL, TuckerModel, _contracted, _CoreNorm,
-                            _least_squares_core, _top_left_vectors, _validate_ranks)
-from btucker.linalg import BETA_CAP
+from btucker import datagen, decomp, linalg, select
+from btucker.decomp import (ORTHONORMALITY_TOL, TuckerModel, _contracted, _least_squares_core,
+                            _top_left_vectors, _validate_ranks)
+from btucker.linalg import BETA_CAP, NOISE_FLOOR
 from btucker.tensor import read_matrix, reconstruct, unfold
 
 # Relative singular-value cutoff for the pseudoinverse; values below
@@ -136,30 +141,136 @@ def reference_tangent_hessian(t, model):
     Its (i, j) entry is <e_i, Hess e_j> for the orthonormal basis e of the
     tangent space at (U2, U3): row a of the mode's factor moved along row b of
     Q_perp, an orthonormal basis of the rows' complement, one mode at a time,
-    L2 (M - L2) + L3 (K - L3) vectors in all.  Each column is one product of
-    _CoreNorm's Hessian on the data itself, which TestCoreNorm checks against
-    central differences of :func:`reference_core_norm`.  Its largest eigenvalue
-    is negative at a strict local maximum.
+    L2 (M - L2) + L3 (K - L3) vectors in all.  Returns the matrix and the
+    point's `degenerate` flag, where the Hessian is undefined.  Each column is one product of
+    :class:`ReferenceCoreNorm`'s Hessian on the data itself, so the check
+    shares no code with btucker's kernel, which TestCoreNorm checks against
+    this reference and against central differences of
+    :func:`reference_core_norm`.  Its largest eigenvalue is negative at a
+    strict local maximum.
     """
-    point = _CoreNorm(t.values, model.u2, model.u3, model.ranks[0])
+    point = ReferenceCoreNorm(t.values, model.u2, model.u3, model.ranks[0])
     # row (a, b) of kron(I, Q_perp), raveled like u, moves row a of u along row b of Q_perp
     basis = block_diag(*(np.kron(np.eye(len(u)), np.linalg.qr(u.T, mode="complete")[0][:, len(u):].T)
                          for u in (model.u2, model.u3)))
-    return basis @ np.array([point.hessian(e) for e in basis]).T
+    return basis @ np.array([point.hessian(e) for e in basis]).T, point.degenerate
 
 
-class SwappedCoreNorm(_CoreNorm):
-    """_CoreNorm with R x2 U2 taken from a C-ordered copy of R with modes 2 and 3 swapped.
+class ReferenceCoreNorm:
+    """f(U2, U3) = ||core||^2 with U1 optimal, its Riemannian gradient and Hessian.
 
-    That copy goes through the mode-1 kernel, as R x3 U3 does on R itself; the
-    gradient is recomputed from it.  _CoreNorm forms R x2 U2 from R alone.
+    R is the data or any R with R^T R = X(1)^T X(1): f, its gradient and
+    its Hessian depend on R only through R^T R.  At
+    row-orthonormal (u2, u3), A = R x2 U2 x3 U3 unfolded along mode 1
+    (the kernel's Y(1), columns (c, b)), lambda and W the top-l1 eigenpairs
+    of A^T A and W_ the rest, so f = sum(lambda) and the optimal U1 is
+    V1 = A W Lambda^-1/2.  With H = W (A W)^T R(1), the Euclidean gradient
+    is e2 = 2 H contracted with U3 (e3 likewise with U2), and the Riemannian
+    one is e projected off the rows of U.  Along a tangent xi, the top
+    eigenspace turns by W_ X with X = (W_^T dS W) / (lambda_a - lambda_b),
+    dS = dA^T A + A^T dA, so dH = W (dA W + A W_ X)^T R(1) + W_ X (A W)^T R(1),
+    and the Hessian is P(De[xi]) - (e U^T) xi on the Grassmann quotient
+    (Absil, Mahony & Sepulchre 2008).  Every contraction with R, the C-ordered
+    (N', M, K) array `work`, runs once per point: R x3 U3 through
+    :func:`_contracted`, R x2 U2 as one batched product U2 R[i] per slice,
+    each with the identity in the other mode, and T = (A W)^T R(1); a Hessian
+    product then only contracts these with small matrices.  Tangents are
+    (xi2, xi3) raveled into one vector.  `degenerate` is True when
+    lambda_L1 - lambda_L1+1 <= NOISE_FLOOR * lambda_1, where X is undefined.
+    A point whose f or gradient norm is not finite, as where the data's scale
+    overflows them, raises FloatingPointError.
     """
 
-    def __init__(self, work, u2, u3, l1):
-        super().__init__(work, u2, u3, l1)
-        self.ru2 = _contracted(np.ascontiguousarray(work.transpose(0, 2, 1)), None, None, u2, mode=1)
+    def __init__(self, work: np.ndarray, u2, u3, l1: int):
+        (l2, m), (l3, k) = u2.shape, u3.shape
+        self.work, self.u2, self.u3 = work, u2, u3
+        # (N', L3 * M) and (N', L2 * K), columns (c, j) and (b, k)
+        self.ru3 = _contracted(work, None, None, u3, mode=1)
+        self.ru2 = np.matmul(u2, work).reshape(len(work), -1)
+        self.a = (self.ru3.reshape(-1, m) @ u2.T).reshape(-1, l3 * l2)
+        lam, vecs = np.linalg.eigh(self.a.T @ self.a)
+        below = lam[-l1 - 1] if l1 < lam.size else 0.0
+        self.degenerate = not lam[-l1] - below > NOISE_FLOOR * lam[-1]
+        self.w, self.lam, self.w_, self.lam_ = vecs[:, -l1:], lam[-l1:], vecs[:, :-l1], lam[:-l1]
+        self.f = float(np.sum(self.lam))
+        self.aw = self.a @ self.w
         self.e2, self.e3 = self._contract(self.aw @ self.w.T)
         self.grad = self._project(self.e2, self.e3)
+        if not (np.isfinite(self.f) and np.isfinite(np.linalg.norm(self.grad))):
+            raise FloatingPointError("non-finite values during HOOI iteration")
+
+    @functools.cached_property
+    def _t(self) -> tuple[np.ndarray, np.ndarray]:
+        """T = (A W)^T R(1) as (L1 * M, K) and, transposed, as (M, L1 * K)."""
+        r = self.work
+        t = (self.aw.T @ r.reshape(r.shape[0], -1)).reshape(-1, *r.shape[1:])
+        return t.reshape(-1, r.shape[2]), t.transpose(1, 0, 2).reshape(r.shape[1], -1)
+
+    def _contract(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """2 d^T R(1), d with Y(1)'s shape, contracted with U3 (mode 2) and with U2 (mode 3)."""
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        d = d.reshape(-1, l3, l2)
+        return (2 * d.reshape(-1, l2).T @ self.ru3.reshape(-1, m),
+                2 * d.transpose(0, 2, 1).reshape(-1, l3).T @ self.ru2.reshape(-1, k))
+
+    def _project(self, d2, d3) -> np.ndarray:
+        """(d2, d3) projected off the rows of (u2, u3), raveled into one tangent vector."""
+        return np.concatenate(((d2 - (d2 @ self.u2.T) @ self.u2).ravel(),
+                               (d3 - (d3 @ self.u3.T) @ self.u3).ravel()))
+
+    def split(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return xi[: self.u2.size].reshape(self.u2.shape), xi[self.u2.size:].reshape(self.u3.shape)
+
+    def hessian(self, xi: np.ndarray) -> np.ndarray:
+        (l2, m), (l3, k) = self.u2.shape, self.u3.shape
+        # the tangent part only: the (e U^T) xi term would grow any rounding off the
+        # tangent space by |e U^T| (about 2 ||core||^2) per product, and stall truncated CG
+        x2, x3 = self.split(self._project(*self.split(xi)))
+        # contiguous transposes: numpy runs these small products about twice as fast
+        x2t, x3t = np.ascontiguousarray(x2.T), np.ascontiguousarray(x3.T)
+        da2 = (self.ru3.reshape(-1, m) @ x2t).reshape(-1, l3, l2)
+        da3 = (self.ru2.reshape(-1, k) @ x3t).reshape(-1, l2, l3).transpose(0, 2, 1)
+        da = (da2 + da3).reshape(-1, l3 * l2)
+        ds = da.T @ self.a
+        gaps = self.lam[None, :] - self.lam_[:, None]
+        x = self.w_ @ ((self.w_.T @ (ds + ds.T) @ self.w) / gaps)  # W_ X
+        # dH = (W (dA W + A W_ X)^T + W_ X (A W)^T) R(1)
+        de2, de3 = self._contract((da @ self.w + self.a @ x) @ self.w.T + self.aw @ x.T)
+        # e2 and e3 moved through U3 and U2 themselves: H = W T contracted with xi3 and xi2
+        w, (t, t_) = self.w.reshape(l3, l2, -1), self._t
+        de2 += 2 * np.einsum("cba,ajc->bj", w, (t @ x3t).reshape(-1, m, l3))
+        de3 += 2 * np.einsum("cba,bak->ck", w, (x2 @ t_).reshape(l2, -1, k))
+        shift2, shift3 = (self.e2 @ self.u2.T) @ x2, (self.e3 @ self.u3.T) @ x3
+        return self._project(de2, de3) - np.concatenate((shift2.ravel(), shift3.ravel()))
+
+
+def kernel_deviations(t, u2, u3, l1, products=3, seed=63) -> dict[str, float]:
+    """btucker's trust-region kernel (decomp._Sweeper.point) against :class:`ReferenceCoreNorm`.
+
+    Both are evaluated at (u2, u3) with U1 optimal, the kernel on G (or X(1))
+    and the reference on the data.  Returns relative deviations: "f";
+    "gradient", over |grad_ref|, and "gradient_e", over the norm of the
+    Euclidean gradient e_ref that grad_ref is projected from (at a fitted
+    point grad_ref is itself rounding, and only the second is meaningful);
+    and "hessian", the largest |H xi - H_ref xi| / |H_ref xi| over `products`
+    random tangents xi drawn from default_rng(seed), None where the reference
+    point is degenerate and the Hessian undefined.
+    """
+    ranks = (l1, len(u2), len(u3))
+    point = decomp._Sweeper(t, ranks, decomp.DEFAULT_FACTOR_TOL).point(u2, u3)
+    want = ReferenceCoreNorm(t.values, u2, u3, l1)
+    change = np.linalg.norm(point.grad - want.grad)
+    rng = np.random.default_rng(seed)
+    hessian = None if want.degenerate else 0.0
+    for _ in range(0 if want.degenerate else products):
+        xi = want._project(rng.normal(size=u2.shape), rng.normal(size=u3.shape))
+        got, expected = point.hessian(xi), want.hessian(xi)
+        hessian = max(hessian, float(np.linalg.norm(got - expected) / np.linalg.norm(expected)))
+    return {"f": abs(point.f - want.f) / want.f,
+            "gradient": float(change / np.linalg.norm(want.grad)),
+            "gradient_e": float(change / np.linalg.norm(np.concatenate((want.e2.ravel(),
+                                                                        want.e3.ravel())))),
+            "hessian": hessian}
 
 
 def reference_residual(t, model):

@@ -4,6 +4,7 @@
     python tools/ci_checks.py sigma <run>   # an rcs-gcm select run: data.txt and selection.csv
     python tools/ci_checks.py fit <decompose.out> [--newton]   # decompose's stdout
     python tools/ci_checks.py local-max <data> <model.json>   # a decompose run's fit
+    python tools/ci_checks.py kernel <data> <model.json>      # a decompose run's fit
     python tools/ci_checks.py tensor {spike,spike-tall,exact,huge} <path>   # writes a T3 file
 
 fit reads the last line that decompose printed, its "key value" pairs, and
@@ -11,7 +12,16 @@ requires self_consistent True; with --newton also newton_steps of at least 1,
 a fit that finished by the trust region.  local-max builds the dense tangent
 Hessian of ||core||^2 at model.json's (U2, U3) (tests/oracles.py) and
 requires its largest eigenvalue to be at most 1e3 eps ||core||^2, the trust
-region's rounding level: the certified fit is a strict local maximum.
+region's rounding level: the certified fit is a strict local maximum.  It
+prints the point's degenerate flag beside it (the L1-th eigen-gap of A^T A at
+or below its noise floor, where the Hessian is undefined).  kernel evaluates
+the trust region's kernel, which works on G = X(1)^T X(1), and the reference
+kernel of tests/oracles.py, which works on the data, at model.json's (U2, U3):
+||core||^2, the gradient and three Hessian products must agree to 1e-13,
+relative; the gradient, which is rounding at a fit, relative to the Euclidean
+gradient it is projected from.  Where the point is degenerate (as at the
+spike fits), the Hessian is undefined and its products are reported as not
+measured.
 beta recomputes the run's noise precision from data.txt and model.json by
 reconstructing the model and subtracting it (tests/oracles.py), and requires
 model.json's beta, which decompose took from the core without forming the
@@ -72,10 +82,21 @@ def local_max_check(data: str, model_path: str) -> bool:
     t = tensor.read_tensor(data)
     model, _ = decomp.load_model(model_path)
     core_sq = float(np.sum(model.core ** 2))
-    lam_max = float(np.linalg.eigvalsh(oracles.reference_tangent_hessian(t, model))[-1])
+    h, degenerate = oracles.reference_tangent_hessian(t, model)
+    lam_max = float(np.linalg.eigvalsh(h)[-1])
     margin = 1e3 * np.finfo(float).eps * core_sq
-    print(model_path, "hessian_max_eig", lam_max, "margin", margin)
+    print(model_path, "hessian_max_eig", lam_max, "margin", margin, "degenerate", degenerate)
     return lam_max <= margin
+
+
+def kernel_check(data: str, model_path: str) -> bool:
+    t = tensor.read_tensor(data)
+    model, _ = decomp.load_model(model_path)
+    deviations = oracles.kernel_deviations(t, model.u2, model.u3, model.ranks[0])
+    print(model_path, *(f"{name} " + ("not measured (degenerate point)" if value is None
+                                      else f"{value:.3g}") for name, value in deviations.items()))
+    measured = [deviations[name] for name in ("f", "gradient_e", "hessian")]
+    return max(value for value in measured if value is not None) <= 1e-13
 
 
 def spike(n: int) -> np.ndarray:
@@ -91,6 +112,7 @@ def exact() -> np.ndarray:
 
 
 CHECKS = {"beta": beta_check, "sigma": sigma_check}
+FIT_CHECKS = {"local-max": local_max_check, "kernel": kernel_check}
 TENSORS = {
     "spike": lambda: spike(10),
     "spike-tall": lambda: spike(40),
@@ -102,8 +124,8 @@ TENSORS = {
 def main(argv) -> int:
     if len(argv) in (2, 3) and argv[0] == "fit" and argv[2:] in ([], ["--newton"]):
         return 0 if fit_check(argv[1], newton=len(argv) == 3) else 1
-    if len(argv) == 3 and argv[0] == "local-max":
-        return 0 if local_max_check(argv[1], argv[2]) else 1
+    if len(argv) == 3 and argv[0] in FIT_CHECKS:
+        return 0 if FIT_CHECKS[argv[0]](argv[1], argv[2]) else 1
     if len(argv) == 3 and argv[0] == "tensor" and argv[1] in TENSORS:
         t = tensor.Tensor3(TENSORS[argv[1]]())
         tensor.write_tensor(t, argv[2])
@@ -111,7 +133,8 @@ def main(argv) -> int:
         return 0
     if len(argv) != 2 or argv[0] not in CHECKS:
         print(f"usage: ci_checks.py {{{','.join(CHECKS)}}} <run> | fit <decompose.out> [--newton]"
-              f" | local-max <data> <model.json> | tensor {{{','.join(TENSORS)}}} <path>",
+              f" | {{{','.join(FIT_CHECKS)}}} <data> <model.json>"
+              f" | tensor {{{','.join(TENSORS)}}} <path>",
               file=sys.stderr)
         return 2
     return 0 if CHECKS[argv[0]](argv[1]) else 1
